@@ -7,6 +7,9 @@
 //! whole-query-cache ablation from DESIGN.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use symsc_smt::blast::Blaster;
+use symsc_smt::cnf::{load_aig, CnfResult};
+use symsc_smt::sat::SatSolver;
 use symsc_smt::{SatResult, Solver, TermId, TermPool, Width};
 
 fn bench_linear_equation(c: &mut Criterion) {
@@ -82,6 +85,50 @@ fn bench_selection_chain(c: &mut Criterion) {
     group.finish();
 }
 
+/// The CDCL core alone on `sat_diag`'s shape A: the selection chain
+/// asking for a selection that differs from the index (UNSAT), blasted
+/// and loaded once outside the timed loop, then solved by a fresh core
+/// per iteration — the per-call work of the SAT layer without the
+/// solver stack above it.
+fn bench_sat_core_selection(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sat_core/plic_selection_unsat");
+    for sources in [24u32, 64, 128] {
+        let w = Width::W32;
+        let mut pool = TermPool::new();
+        let i = pool.var("i", w);
+        let one = pool.constant(1, w);
+        let n = pool.constant(u64::from(sources), w);
+        let lower = pool.uge(i, one);
+        let upper = pool.ule(i, n);
+        let zero = pool.constant(0, w);
+        let mut best = zero;
+        for k in 1..=sources {
+            let kc = pool.constant(u64::from(k), w);
+            let pending = pool.eq(i, kc);
+            let still_zero = pool.eq(best, zero);
+            let take = pool.and(pending, still_zero);
+            best = pool.ite(take, kc, best);
+        }
+        let selected = pool.eq(best, i);
+        let bad = pool.not(selected);
+        let mut blaster = Blaster::new();
+        let roots: Vec<_> = [lower, upper, bad]
+            .iter()
+            .map(|&t| blaster.blast(&pool, t)[0])
+            .collect();
+        group.bench_with_input(BenchmarkId::from_parameter(sources), &sources, |b, _| {
+            b.iter(|| {
+                let mut sat = SatSolver::new();
+                match load_aig(blaster.aig(), &roots, &mut sat) {
+                    CnfResult::TriviallyUnsat => unreachable!("needs search"),
+                    CnfResult::Loaded(_) => assert!(!sat.solve()),
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_query_cache(c: &mut Criterion) {
     // DESIGN.md ablation 5: the whole-query memo cache. Repeated identical
     // queries are the common case under forked re-execution.
@@ -109,6 +156,7 @@ criterion_group!(
     bench_linear_equation,
     bench_range_unsat,
     bench_selection_chain,
+    bench_sat_core_selection,
     bench_query_cache
 );
 criterion_main!(benches);

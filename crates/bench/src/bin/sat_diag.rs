@@ -1,4 +1,12 @@
-// quick diag: solve shape A n=20 and print SAT core stats
+//! SAT-core throughput check in seconds, without the full benchmark.
+//!
+//! Bit-blasts the PLIC-shaped first-match selection chain ("shape A":
+//! `n` one-hot candidates selected by a symbolic index, asking for a
+//! selection that differs from the index — UNSAT), loads it as CNF into a
+//! fresh CDCL core and solves it, printing the encoding and search times
+//! and the core's counters, including propagations per second.
+//!
+//! Usage: `sat_diag [n]` (default 24).
 use std::time::Instant;
 use symsc_smt::blast::Blaster;
 use symsc_smt::cnf::{load_aig, CnfResult};
@@ -14,13 +22,13 @@ fn main() {
     let mut p = TermPool::new();
     let i = p.var("i", w);
     let one = p.constant(1, w);
-    let nn = p.constant(n as u64, w);
+    let nn = p.constant(u64::from(n), w);
     let lo = p.uge(i, one);
     let hi = p.ule(i, nn);
     let zero = p.constant(0, w);
     let mut best = zero;
     for k in 1..=n {
-        let kc = p.constant(k as u64, w);
+        let kc = p.constant(u64::from(k), w);
         let pend = p.eq(i, kc);
         let bz = p.eq(best, zero);
         let take = p.and(pend, bz);
@@ -31,42 +39,35 @@ fn main() {
 
     let t0 = Instant::now();
     let mut blaster = Blaster::new();
-    let mut roots = Vec::new();
-    for c in [lo, hi, bad] {
-        roots.push(blaster.blast(&p, c)[0]);
-    }
-    eprintln!(
-        "[{:.3}s] blasted: AIG nodes {}",
-        t0.elapsed().as_secs_f64(),
-        blaster.aig().len()
-    );
+    let roots: Vec<_> = [lo, hi, bad]
+        .iter()
+        .map(|&c| blaster.blast(&p, c)[0])
+        .collect();
+    let blast_s = t0.elapsed().as_secs_f64();
+    let t1 = Instant::now();
     let mut sat = SatSolver::new();
-    eprintln!(
-        "[{:.3}s] term pool size {}",
-        t0.elapsed().as_secs_f64(),
-        p.len()
-    );
-    let t = Instant::now();
-    match load_aig(blaster.aig(), &roots, &mut sat) {
-        CnfResult::TriviallyUnsat => println!("trivially unsat"),
-        CnfResult::Loaded(_) => {
-            eprintln!(
-                "[{:.3}s] cnf loaded: vars {}",
-                t0.elapsed().as_secs_f64(),
-                sat.num_vars()
-            );
-            let r = sat.solve();
-            let s = sat.stats();
-            println!(
-                "result={} in {:.3}s: decisions={} conflicts={} props={} restarts={} learnt={}",
-                r,
-                t.elapsed().as_secs_f64(),
-                s.decisions,
-                s.conflicts,
-                s.propagations,
-                s.restarts,
-                s.learnt_clauses
-            );
-        }
+    if let CnfResult::TriviallyUnsat = load_aig(blaster.aig(), &roots, &mut sat) {
+        println!("shape A n={n}: trivially unsat");
+        return;
     }
+    let cnf_s = t1.elapsed().as_secs_f64();
+    let t2 = Instant::now();
+    let satisfiable = sat.solve();
+    let solve_s = t2.elapsed().as_secs_f64();
+    let s = sat.stats();
+    println!(
+        "shape A n={n}: {} | aig_nodes={} vars={} | blast={blast_s:.3}s cnf={cnf_s:.3}s solve={solve_s:.3}s",
+        if satisfiable { "sat" } else { "unsat" },
+        blaster.aig().len(),
+        sat.num_vars(),
+    );
+    println!(
+        "decisions={} propagations={} conflicts={} restarts={} learnt={} propagations/s={:.0}",
+        s.decisions,
+        s.propagations,
+        s.conflicts,
+        s.restarts,
+        s.learnt_clauses,
+        s.propagations as f64 / solve_s.max(1e-9),
+    );
 }

@@ -1,16 +1,50 @@
 //! Tseitin transformation from an [`Aig`] to CNF clauses in a SAT solver.
 
-use std::collections::HashMap;
-
 use crate::aig::{Aig, AigLit, AigNode};
 use crate::sat::{Lit, SatSolver, Var};
+
+const UNENCODED: u32 = u32::MAX;
+
+/// The SAT variable of every encoded AIG node: a dense table indexed by
+/// node id, since the encoder looks up every gate input it visits.
+#[derive(Debug, Default)]
+pub struct NodeVars {
+    vars: Vec<u32>,
+}
+
+impl NodeVars {
+    /// An empty table.
+    pub fn new() -> NodeVars {
+        NodeVars::default()
+    }
+
+    /// The SAT variable of `node`, if its cone has been encoded.
+    pub fn get(&self, node: u32) -> Option<Var> {
+        match self.vars.get(node as usize) {
+            Some(&v) if v != UNENCODED => Some(Var(v)),
+            _ => None,
+        }
+    }
+
+    fn contains(&self, node: u32) -> bool {
+        self.vars[node as usize] != UNENCODED
+    }
+
+    fn var(&self, node: u32) -> Var {
+        self.get(node).expect("cone encoded before use")
+    }
+
+    fn insert(&mut self, node: u32, v: Var) {
+        self.vars[node as usize] = v.0;
+    }
+}
 
 /// Outcome of loading AIG roots into a SAT solver.
 #[derive(Debug)]
 pub enum CnfResult {
-    /// All roots encoded; the map gives the SAT variable of each AIG node
-    /// in the cone of influence.
-    Loaded(HashMap<u32, Var>),
+    /// All roots encoded; the table gives the SAT variable of each AIG
+    /// node in the cone of influence.
+    Loaded(NodeVars),
     /// A root was the constant false literal — the query is trivially
     /// unsatisfiable without calling the solver.
     TriviallyUnsat,
@@ -22,7 +56,7 @@ pub enum CnfResult {
 /// three standard Tseitin clauses. Constant-true roots are skipped;
 /// a constant-false root short-circuits to [`CnfResult::TriviallyUnsat`].
 pub fn load_aig(aig: &Aig, roots: &[AigLit], solver: &mut SatSolver) -> CnfResult {
-    let mut node_var: HashMap<u32, Var> = HashMap::new();
+    let mut node_var = NodeVars::new();
     if assert_roots(aig, roots, solver, &mut node_var) {
         CnfResult::Loaded(node_var)
     } else {
@@ -31,7 +65,7 @@ pub fn load_aig(aig: &Aig, roots: &[AigLit], solver: &mut SatSolver) -> CnfResul
 }
 
 /// Incrementally asserts `roots` true on top of whatever the solver
-/// already holds, reusing and extending a persistent node→variable map so
+/// already holds, reusing and extending a persistent node→variable table so
 /// previously encoded cones are shared rather than re-blasted. Returns
 /// `false` when the asserted set became trivially unsatisfiable (a
 /// constant-false root or a root-level conflict).
@@ -39,7 +73,7 @@ pub fn assert_roots(
     aig: &Aig,
     roots: &[AigLit],
     solver: &mut SatSolver,
-    node_var: &mut HashMap<u32, Var>,
+    node_var: &mut NodeVars,
 ) -> bool {
     for &root in roots {
         if root == AigLit::TRUE {
@@ -57,23 +91,21 @@ pub fn assert_roots(
 }
 
 /// Encodes the cone of a non-constant AIG literal into `solver` (reusing
-/// the persistent map) and returns the corresponding SAT literal
+/// the persistent table) and returns the corresponding SAT literal
 /// *without* asserting it — the caller may pass it as an assumption.
-pub fn encode_lit(
-    aig: &Aig,
-    lit: AigLit,
-    solver: &mut SatSolver,
-    node_var: &mut HashMap<u32, Var>,
-) -> Lit {
+pub fn encode_lit(aig: &Aig, lit: AigLit, solver: &mut SatSolver, node_var: &mut NodeVars) -> Lit {
     debug_assert!(lit != AigLit::TRUE && lit != AigLit::FALSE);
     encode_cone(aig, lit.node(), solver, node_var);
-    Lit::new(node_var[&lit.node()], lit.complemented())
+    Lit::new(node_var.var(lit.node()), lit.complemented())
 }
 
-fn encode_cone(aig: &Aig, root: u32, solver: &mut SatSolver, node_var: &mut HashMap<u32, Var>) {
+fn encode_cone(aig: &Aig, root: u32, solver: &mut SatSolver, node_var: &mut NodeVars) {
+    if node_var.vars.len() < aig.len() {
+        node_var.vars.resize(aig.len(), UNENCODED);
+    }
     let mut stack = vec![root];
     while let Some(&n) = stack.last() {
-        if node_var.contains_key(&n) {
+        if node_var.contains(n) {
             stack.pop();
             continue;
         }
@@ -94,11 +126,11 @@ fn encode_cone(aig: &Aig, root: u32, solver: &mut SatSolver, node_var: &mut Hash
             AigNode::And(a, b) => {
                 let (na, nb) = (a.node(), b.node());
                 let mut ready = true;
-                if !node_var.contains_key(&na) {
+                if !node_var.contains(na) {
                     stack.push(na);
                     ready = false;
                 }
-                if !node_var.contains_key(&nb) {
+                if !node_var.contains(nb) {
                     stack.push(nb);
                     ready = false;
                 }
@@ -107,8 +139,8 @@ fn encode_cone(aig: &Aig, root: u32, solver: &mut SatSolver, node_var: &mut Hash
                 }
                 let y = solver.new_var();
                 node_var.insert(n, y);
-                let la = Lit::new(node_var[&na], a.complemented());
-                let lb = Lit::new(node_var[&nb], b.complemented());
+                let la = Lit::new(node_var.var(na), a.complemented());
+                let lb = Lit::new(node_var.var(nb), b.complemented());
                 let ly = Lit::new(y, false);
                 // y <-> (la & lb)
                 solver.add_clause(&[ly.negated(), la]);
@@ -139,7 +171,7 @@ mod tests {
         let aig = Aig::new();
         let mut solver = SatSolver::new();
         match load_aig(&aig, &[AigLit::TRUE], &mut solver) {
-            CnfResult::Loaded(map) => assert!(map.is_empty()),
+            CnfResult::Loaded(map) => assert_eq!(map.get(AigLit::TRUE.node()), None),
             CnfResult::TriviallyUnsat => panic!("true root must load"),
         }
         assert!(solver.solve());
@@ -158,8 +190,8 @@ mod tests {
         };
         assert!(solver.solve());
         // Asserting a&b forces both inputs true.
-        assert!(solver.value(map[&a.node()]));
-        assert!(solver.value(map[&b.node()]));
+        assert!(solver.value(map.get(a.node()).expect("encoded")));
+        assert!(solver.value(map.get(b.node()).expect("encoded")));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! whose learned clauses, variable activities and saved phases persist,
 //! and decides each probe as one assumption solve on top
 //! ([`SatSolver::solve_with_assumptions`]). New conjuncts append — the
-//! AIG, the node→variable map and the clause database never rebuild.
+//! AIG, the node→variable table and the clause database never rebuild.
 //!
 //! # Determinism
 //!
@@ -24,12 +24,10 @@
 //! deterministic core, so reports stay byte-identical whether the
 //! incremental layer is on or off.
 
-use std::collections::HashMap;
-
 use crate::aig::AigLit;
 use crate::blast::Blaster;
-use crate::cnf;
-use crate::sat::{SatSolver, SatStats, Var};
+use crate::cnf::{self, NodeVars};
+use crate::sat::{SatSolver, SatStats};
 use crate::term::{TermId, TermPool};
 
 /// Counters for the incremental per-path solving layer.
@@ -73,7 +71,7 @@ impl IncrementalStats {
 pub struct SolverCtx {
     blaster: Blaster,
     sat: SatSolver,
-    node_var: HashMap<u32, Var>,
+    node_var: NodeVars,
     /// Sorted fingerprints of the conjuncts asserted so far.
     loaded: Vec<u128>,
     pool_id: u64,
@@ -88,7 +86,7 @@ impl SolverCtx {
         SolverCtx {
             blaster: Blaster::new(),
             sat: SatSolver::new(),
-            node_var: HashMap::new(),
+            node_var: NodeVars::new(),
             loaded: Vec::new(),
             pool_id: pool.pool_id(),
             failed: false,

@@ -13,12 +13,27 @@
 //! symbolic exploration: along one path the constraint set only grows, so
 //! the conjuncts seen so far can stay asserted while each fork probe is a
 //! single assumption on top.
+//!
+//! # Storage
+//!
+//! Unit propagation dominates the run time on the bit-blasted formulas
+//! exploration produces, and it is bound by memory traffic, so the layout
+//! is built for it: every clause lives in one flat `u32` arena addressed
+//! by offset, literal values are one byte per literal code, and binary
+//! clauses are decided from their watcher alone. A watcher visit is one
+//! load for the blocker's value and, for a longer clause, one contiguous
+//! read of the clause. Clauses deleted by database reduction are
+//! compacted away once they waste half the arena. None of
+//! this changes the search: decisions, propagation order, learnt clauses,
+//! restarts and models — and hence every [`SatStats`] counter — are the
+//! same as for a solver that kept each clause in its own allocation
+//! (`crates/smt/tests/sat_trajectory.rs` pins them).
 
 use std::fmt;
 
 /// A propositional variable.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Var(u32);
+pub struct Var(pub(crate) u32);
 
 impl Var {
     /// The variable's dense index.
@@ -73,37 +88,133 @@ impl fmt::Debug for Lit {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Assign {
-    Undef,
-    True,
-    False,
+/// Literal values, one byte per literal code.
+const UNDEF: u8 = 0;
+const TRUE: u8 = 1;
+const FALSE: u8 = 2;
+
+const NO_REASON: u32 = u32::MAX;
+
+/// Words before a clause's literals: the header, then the activity `f64`
+/// as two words (low half first).
+const HEADER_WORDS: usize = 3;
+const LEARNT_BIT: u32 = 1 << 31;
+const DELETED_BIT: u32 = 1 << 30;
+const LEN_MASK: u32 = DELETED_BIT - 1;
+
+/// The clause database: every clause in one flat `u32` vector, addressed
+/// by the offset of its header word.
+///
+/// ```text
+/// [len | learnt | deleted][activity lo][activity hi][lit 0][lit 1]...
+/// ```
+///
+/// Offsets stay below [`BINARY_WATCH`] (the arena holds under 2^31
+/// words). Clauses are appended in creation order and compaction
+/// preserves that order, so walking the arena front to back visits
+/// clauses in creation order. Deleted clauses stay in place (their
+/// watchers are dropped lazily) until `SatSolver::collect_garbage`
+/// compacts them away.
+#[derive(Debug, Default)]
+struct Arena {
+    words: Vec<u32>,
+    /// Words held by deleted clauses.
+    wasted: usize,
 }
 
-impl Assign {
-    fn from_bool(b: bool) -> Assign {
-        if b {
-            Assign::True
-        } else {
-            Assign::False
+impl Arena {
+    fn alloc(&mut self, lits: &[Lit], learnt: bool) -> u32 {
+        assert!(
+            lits.len() <= LEN_MASK as usize
+                && self.words.len() + HEADER_WORDS + lits.len() < BINARY_WATCH as usize,
+            "clause arena exceeds 2^31 words"
+        );
+        let cref = self.words.len() as u32;
+        let learnt_bit = if learnt { LEARNT_BIT } else { 0 };
+        self.words.push(lits.len() as u32 | learnt_bit);
+        self.words.extend_from_slice(&[0, 0]); // activity 0.0
+        self.words.extend(lits.iter().map(|l| l.0));
+        cref
+    }
+
+    fn len(&self, c: u32) -> usize {
+        (self.words[c as usize] & LEN_MASK) as usize
+    }
+
+    /// Offset of the clause after `c`.
+    fn next(&self, c: u32) -> u32 {
+        c + (HEADER_WORDS + self.len(c)) as u32
+    }
+
+    fn is_learnt(&self, c: u32) -> bool {
+        self.words[c as usize] & LEARNT_BIT != 0
+    }
+
+    fn is_deleted(&self, c: u32) -> bool {
+        self.words[c as usize] & DELETED_BIT != 0
+    }
+
+    fn delete(&mut self, c: u32) {
+        self.words[c as usize] |= DELETED_BIT;
+        self.wasted += HEADER_WORDS + self.len(c);
+    }
+
+    fn lit(&self, c: u32, k: usize) -> Lit {
+        Lit(self.words[c as usize + HEADER_WORDS + k])
+    }
+
+    fn lits(&self, c: u32) -> &[u32] {
+        let start = c as usize + HEADER_WORDS;
+        &self.words[start..start + self.len(c)]
+    }
+
+    fn activity(&self, c: u32) -> f64 {
+        let c = c as usize;
+        f64::from_bits(u64::from(self.words[c + 1]) | u64::from(self.words[c + 2]) << 32)
+    }
+
+    fn set_activity(&mut self, c: u32, activity: f64) {
+        let bits = activity.to_bits();
+        let c = c as usize;
+        self.words[c + 1] = bits as u32;
+        self.words[c + 2] = (bits >> 32) as u32;
+    }
+
+    /// Multiplies every clause's activity by `factor`.
+    fn scale_activities(&mut self, factor: f64) {
+        let mut c = 0;
+        while (c as usize) < self.words.len() {
+            let scaled = self.activity(c) * factor;
+            self.set_activity(c, scaled);
+            c = self.next(c);
         }
     }
 }
 
-const NO_REASON: u32 = u32::MAX;
-
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    deleted: bool,
-    activity: f64,
-}
+/// Watcher flag (in the clause word) marking a binary clause. Its blocker
+/// is always the clause's other literal, so propagation decides it from
+/// the watcher alone without touching the arena.
+const BINARY_WATCH: u32 = 1 << 31;
 
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
+    /// Arena offset of the clause, or'ed with [`BINARY_WATCH`].
     clause: u32,
     blocker: Lit,
+}
+
+impl Watcher {
+    fn cref(self) -> u32 {
+        self.clause & !BINARY_WATCH
+    }
+}
+
+/// Per-variable trail data, kept together because conflict analysis reads
+/// both for every literal it visits.
+#[derive(Clone, Copy, Debug)]
+struct VarData {
+    reason: u32,
+    level: u32,
 }
 
 /// Cumulative solver counters, useful for benchmark reporting.
@@ -140,11 +251,14 @@ pub struct SatStats {
 /// ```
 #[derive(Debug)]
 pub struct SatSolver {
-    clauses: Vec<Clause>,
+    arena: Arena,
+    /// Live learnt clauses in creation order (deleted ones are dropped by
+    /// [`reduce_db`](Self::reduce_db)).
+    learnts: Vec<u32>,
     watches: Vec<Vec<Watcher>>,
-    assign: Vec<Assign>,
-    level: Vec<u32>,
-    reason: Vec<u32>,
+    /// Value of every literal, indexed by literal code.
+    vals: Vec<u8>,
+    vars: Vec<VarData>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -155,8 +269,12 @@ pub struct SatSolver {
     heap_pos: Vec<i32>,
     phase: Vec<bool>,
     seen: Vec<bool>,
+    /// Scratch buffers reused across calls: the clause being added, the
+    /// clause being learnt and the variables analysis marked as seen.
+    add_buf: Vec<Lit>,
+    learnt_buf: Vec<Lit>,
+    to_clear: Vec<usize>,
     ok: bool,
-    num_learnt: usize,
     reduce_count: u64,
     stats: SatStats,
 }
@@ -174,11 +292,11 @@ impl SatSolver {
     /// Creates an empty solver.
     pub fn new() -> SatSolver {
         SatSolver {
-            clauses: Vec::new(),
+            arena: Arena::default(),
+            learnts: Vec::new(),
             watches: Vec::new(),
-            assign: Vec::new(),
-            level: Vec::new(),
-            reason: Vec::new(),
+            vals: Vec::new(),
+            vars: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
@@ -189,8 +307,10 @@ impl SatSolver {
             heap_pos: Vec::new(),
             phase: Vec::new(),
             seen: Vec::new(),
+            add_buf: Vec::new(),
+            learnt_buf: Vec::new(),
+            to_clear: Vec::new(),
             ok: true,
-            num_learnt: 0,
             reduce_count: 0,
             stats: SatStats::default(),
         }
@@ -204,7 +324,7 @@ impl SatSolver {
     /// Number of learnt clauses currently alive in the database (survivors
     /// of [`reduce_db`](Self::reduce_db), not the cumulative count).
     pub fn num_learnt(&self) -> usize {
-        self.num_learnt
+        self.learnts.len()
     }
 
     /// Whether the clause database is still consistent. Once a root-level
@@ -215,15 +335,17 @@ impl SatSolver {
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.vars.len()
     }
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assign.len() as u32);
-        self.assign.push(Assign::Undef);
-        self.level.push(0);
-        self.reason.push(NO_REASON);
+        let v = Var(self.vars.len() as u32);
+        self.vals.extend_from_slice(&[UNDEF, UNDEF]);
+        self.vars.push(VarData {
+            reason: NO_REASON,
+            level: 0,
+        });
         self.activity.push(0.0);
         self.phase.push(false);
         self.seen.push(false);
@@ -234,30 +356,10 @@ impl SatSolver {
         v
     }
 
-    fn value_lit(&self, l: Lit) -> Assign {
-        match self.assign[l.var().index()] {
-            Assign::Undef => Assign::Undef,
-            Assign::True => {
-                if l.is_negated() {
-                    Assign::False
-                } else {
-                    Assign::True
-                }
-            }
-            Assign::False => {
-                if l.is_negated() {
-                    Assign::True
-                } else {
-                    Assign::False
-                }
-            }
-        }
-    }
-
     /// The model value of `v` after a successful [`solve`](Self::solve).
     /// Unassigned (don't-care) variables read as `false`.
     pub fn value(&self, v: Var) -> bool {
-        self.assign[v.index()] == Assign::True
+        self.vals[Lit::new(v, false).code()] == TRUE
     }
 
     /// Adds a clause. Returns `false` if the formula became trivially
@@ -272,61 +374,72 @@ impl SatSolver {
             return false;
         }
         // Sort, dedupe, drop false literals, detect tautology / satisfied.
-        let mut c: Vec<Lit> = lits.to_vec();
+        let mut c = std::mem::take(&mut self.add_buf);
+        c.clear();
+        c.extend_from_slice(lits);
         c.sort_unstable();
         c.dedup();
-        let mut filtered = Vec::with_capacity(c.len());
-        for (i, &l) in c.iter().enumerate() {
-            if i + 1 < c.len() && c[i + 1] == l.negated() {
-                return true; // tautology: l and !l both present
+        let mut kept = 0;
+        let mut satisfied = false;
+        for i in 0..c.len() {
+            let l = c[i];
+            // Tautology (l and !l both present) or satisfied at root level.
+            if (i + 1 < c.len() && c[i + 1] == l.negated()) || self.vals[l.code()] == TRUE {
+                satisfied = true;
+                break;
             }
-            match self.value_lit(l) {
-                Assign::True => return true, // satisfied at root level
-                Assign::False => {}          // drop
-                Assign::Undef => filtered.push(l),
-            }
+            if self.vals[l.code()] == UNDEF {
+                c[kept] = l;
+                kept += 1;
+            } // false at root level: drop
         }
-        match filtered.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
-            1 => {
-                self.unchecked_enqueue(filtered[0], NO_REASON);
-                if self.propagate().is_some() {
+        c.truncate(kept);
+        let result = if satisfied {
+            true
+        } else {
+            match c.len() {
+                0 => {
                     self.ok = false;
+                    false
                 }
-                self.ok
+                1 => {
+                    self.unchecked_enqueue(c[0], NO_REASON);
+                    if self.propagate().is_some() {
+                        self.ok = false;
+                    }
+                    self.ok
+                }
+                _ => {
+                    self.attach_clause(&c, false);
+                    true
+                }
             }
-            _ => {
-                self.attach_clause(filtered, false);
-                true
-            }
-        }
+        };
+        self.add_buf = c;
+        result
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> u32 {
         debug_assert!(lits.len() >= 2);
-        let idx = self.clauses.len() as u32;
+        let cref = self.arena.alloc(lits, learnt);
+        let clause = if lits.len() == 2 {
+            cref | BINARY_WATCH
+        } else {
+            cref
+        };
         self.watches[lits[0].code()].push(Watcher {
-            clause: idx,
+            clause,
             blocker: lits[1],
         });
         self.watches[lits[1].code()].push(Watcher {
-            clause: idx,
+            clause,
             blocker: lits[0],
         });
         if learnt {
-            self.num_learnt += 1;
+            self.learnts.push(cref);
             self.stats.learnt_clauses += 1;
         }
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            deleted: false,
-            activity: 0.0,
-        });
-        idx
+        cref
     }
 
     fn decision_level(&self) -> u32 {
@@ -334,15 +447,18 @@ impl SatSolver {
     }
 
     fn unchecked_enqueue(&mut self, l: Lit, reason: u32) {
-        debug_assert_eq!(self.value_lit(l), Assign::Undef);
-        let v = l.var().index();
-        self.assign[v] = Assign::from_bool(!l.is_negated());
-        self.level[v] = self.decision_level();
-        self.reason[v] = reason;
+        debug_assert_eq!(self.vals[l.code()], UNDEF);
+        self.vals[l.code()] = TRUE;
+        self.vals[l.negated().code()] = FALSE;
+        self.vars[l.var().index()] = VarData {
+            reason,
+            level: self.decision_level(),
+        };
         self.trail.push(l);
     }
 
-    /// Unit propagation. Returns the index of a conflicting clause, if any.
+    /// Unit propagation. Returns the offset of a conflicting clause, if
+    /// any.
     fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
@@ -357,22 +473,45 @@ impl SatSolver {
                 let w = ws[i];
                 i += 1;
                 // Quick skip via blocker.
-                if self.value_lit(w.blocker) == Assign::True {
+                let blocker_val = self.vals[w.blocker.code()];
+                if blocker_val == TRUE {
                     ws[kept] = w;
                     kept += 1;
                     continue;
                 }
-                let ci = w.clause as usize;
-                if self.clauses[ci].deleted {
+                if w.clause & BINARY_WATCH != 0 {
+                    // The blocker is the other literal: unit or conflict.
+                    ws[kept] = w;
+                    kept += 1;
+                    if blocker_val == FALSE {
+                        // Analysis reads a conflict clause in order; store
+                        // it as [other, false literal], the order watch
+                        // repair leaves a longer clause in.
+                        let start = w.cref() as usize + HEADER_WORDS;
+                        self.arena.words[start] = w.blocker.0;
+                        self.arena.words[start + 1] = false_lit.0;
+                        conflict = Some(w.cref());
+                        break;
+                    } else {
+                        self.unchecked_enqueue(w.blocker, w.cref());
+                    }
+                    continue;
+                }
+                let c = w.clause as usize;
+                let header = self.arena.words[c];
+                if header & DELETED_BIT != 0 {
                     continue; // drop watcher of deleted clause
                 }
+                let start = c + HEADER_WORDS;
+                let lits = &mut self.arena.words[start..start + (header & LEN_MASK) as usize];
                 // Ensure the false literal is at position 1.
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                if lits[0] == false_lit.0 {
+                    lits.swap(0, 1);
                 }
-                debug_assert_eq!(self.clauses[ci].lits[1], false_lit);
-                let first = self.clauses[ci].lits[0];
-                if first != w.blocker && self.value_lit(first) == Assign::True {
+                debug_assert_eq!(lits[1], false_lit.0);
+                let first = Lit(lits[0]);
+                let first_val = self.vals[first.code()];
+                if first != w.blocker && first_val == TRUE {
                     ws[kept] = Watcher {
                         clause: w.clause,
                         blocker: first,
@@ -381,20 +520,12 @@ impl SatSolver {
                     continue;
                 }
                 // Look for a new literal to watch.
-                let mut found = false;
-                for k in 2..self.clauses[ci].lits.len() {
-                    if self.value_lit(self.clauses[ci].lits[k]) != Assign::False {
-                        self.clauses[ci].lits.swap(1, k);
-                        let new_watch = self.clauses[ci].lits[1];
-                        self.watches[new_watch.code()].push(Watcher {
-                            clause: w.clause,
-                            blocker: first,
-                        });
-                        found = true;
-                        break;
-                    }
-                }
-                if found {
+                if let Some(k) = (2..lits.len()).find(|&k| self.vals[lits[k] as usize] != FALSE) {
+                    lits.swap(1, k);
+                    self.watches[lits[1] as usize].push(Watcher {
+                        clause: w.clause,
+                        blocker: first,
+                    });
                     continue;
                 }
                 // Clause is unit or conflicting; keep this watcher.
@@ -403,18 +534,17 @@ impl SatSolver {
                     blocker: first,
                 };
                 kept += 1;
-                if self.value_lit(first) == Assign::False {
-                    // Conflict: keep the remaining watchers and bail out.
-                    while i < ws.len() {
-                        ws[kept] = ws[i];
-                        kept += 1;
-                        i += 1;
-                    }
-                    self.qhead = self.trail.len();
+                if first_val == FALSE {
                     conflict = Some(w.clause);
-                } else {
-                    self.unchecked_enqueue(first, w.clause);
+                    break;
                 }
+                self.unchecked_enqueue(first, w.clause);
+            }
+            if conflict.is_some() {
+                // Keep the watchers not yet visited and stop propagating.
+                ws.copy_within(i.., kept);
+                kept += ws.len() - i;
+                self.qhead = self.trail.len();
             }
             ws.truncate(kept);
             self.watches[false_lit.code()] = ws;
@@ -438,21 +568,21 @@ impl SatSolver {
         }
     }
 
-    fn bump_clause(&mut self, ci: usize) {
-        self.clauses[ci].activity += self.cla_inc;
-        if self.clauses[ci].activity > 1e20 {
-            for c in &mut self.clauses {
-                c.activity *= 1e-20;
-            }
+    fn bump_clause(&mut self, c: u32) {
+        let activity = self.arena.activity(c) + self.cla_inc;
+        self.arena.set_activity(c, activity);
+        if activity > 1e20 {
+            self.arena.scale_activities(1e-20);
             self.cla_inc *= 1e-20;
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backtrack level.
-    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot for the asserting literal
-        let mut to_clear: Vec<usize> = Vec::new();
+    /// First-UIP conflict analysis. Leaves the learnt clause (asserting
+    /// literal first) in `learnt_buf` and returns the backtrack level.
+    fn analyze(&mut self, mut confl: u32) -> u32 {
+        let mut learnt = std::mem::take(&mut self.learnt_buf);
+        learnt.clear();
+        learnt.push(Lit(0)); // slot for the asserting literal
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
@@ -460,17 +590,22 @@ impl SatSolver {
 
         loop {
             debug_assert_ne!(confl, NO_REASON);
-            self.bump_clause(confl as usize);
-            let start = usize::from(p.is_some());
-            let len = self.clauses[confl as usize].lits.len();
-            for j in start..len {
-                let q = self.clauses[confl as usize].lits[j];
+            self.bump_clause(confl);
+            // A reason clause's implied literal is the pivot `p`; skip it
+            // by variable, since binary clauses are not kept in
+            // implied-literal-first order.
+            let pivot = p.map(|l| l.var().index());
+            for j in 0..self.arena.len(confl) {
+                let q = self.arena.lit(confl, j);
                 let v = q.var().index();
-                if !self.seen[v] && self.level[v] > 0 {
+                if Some(v) == pivot {
+                    continue;
+                }
+                if !self.seen[v] && self.vars[v].level > 0 {
                     self.seen[v] = true;
-                    to_clear.push(v);
+                    self.to_clear.push(v);
                     self.bump_var(v);
-                    if self.level[v] >= current {
+                    if self.vars[v].level >= current {
                         path_count += 1;
                     } else {
                         learnt.push(q);
@@ -484,7 +619,7 @@ impl SatSolver {
             index -= 1;
             let pl = self.trail[index];
             let v = pl.var().index();
-            confl = self.reason[v];
+            confl = self.vars[v].reason;
             self.seen[v] = false;
             path_count -= 1;
             p = Some(pl);
@@ -495,47 +630,50 @@ impl SatSolver {
         learnt[0] = p.expect("asserting literal").negated();
 
         // Cheap clause minimization: drop literals implied by the rest.
-        let keep: Vec<Lit> = learnt[1..]
-            .iter()
-            .copied()
-            .filter(|&l| !self.literal_redundant(l))
-            .collect();
-        learnt.truncate(1);
-        learnt.extend(keep);
+        let mut kept = 1;
+        for k in 1..learnt.len() {
+            if !self.literal_redundant(learnt[k]) {
+                learnt[kept] = learnt[k];
+                kept += 1;
+            }
+        }
+        learnt.truncate(kept);
 
-        for v in to_clear {
+        // The asserting literal's variable was already cleared inside the
+        // loop; clear everything else analysis marked.
+        for v in self.to_clear.drain(..) {
             self.seen[v] = false;
         }
-        // seen[] for removed/kept literals cleared above; the asserting
-        // literal's variable was already cleared inside the loop.
 
         // Compute the backtrack level (second-highest level in the clause).
         let bt_level = if learnt.len() == 1 {
             0
         } else {
+            let level = |l: Lit| self.vars[l.var().index()].level;
             let mut max_i = 1;
             for i in 2..learnt.len() {
-                if self.level[learnt[i].var().index()] > self.level[learnt[max_i].var().index()] {
+                if level(learnt[i]) > level(learnt[max_i]) {
                     max_i = i;
                 }
             }
             learnt.swap(1, max_i);
-            self.level[learnt[1].var().index()]
+            level(learnt[1])
         };
-        (learnt, bt_level)
+        self.learnt_buf = learnt;
+        bt_level
     }
 
     /// A literal is redundant if its reason clause is entirely made of
     /// seen literals (or root-level literals).
     fn literal_redundant(&self, l: Lit) -> bool {
         let v = l.var().index();
-        let r = self.reason[v];
+        let r = self.vars[v].reason;
         if r == NO_REASON {
             return false;
         }
-        self.clauses[r as usize].lits.iter().all(|&q| {
-            let qv = q.var().index();
-            qv == v || self.seen[qv] || self.level[qv] == 0
+        self.arena.lits(r).iter().all(|&q| {
+            let qv = (q >> 1) as usize;
+            qv == v || self.seen[qv] || self.vars[qv].level == 0
         })
     }
 
@@ -548,8 +686,9 @@ impl SatSolver {
             let l = self.trail[i];
             let v = l.var().index();
             self.phase[v] = !l.is_negated();
-            self.assign[v] = Assign::Undef;
-            self.reason[v] = NO_REASON;
+            self.vals[l.code()] = UNDEF;
+            self.vals[l.negated().code()] = UNDEF;
+            self.vars[v].reason = NO_REASON;
             if self.heap_pos[v] < 0 {
                 self.heap_insert(v as u32);
             }
@@ -561,7 +700,7 @@ impl SatSolver {
 
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.heap_pop() {
-            if self.assign[v as usize] == Assign::Undef {
+            if self.vals[Lit::new(Var(v), false).code()] == UNDEF {
                 let lit = Lit::new(Var(v), !self.phase[v as usize]);
                 return Some(lit);
             }
@@ -569,42 +708,91 @@ impl SatSolver {
         None
     }
 
+    /// Deletes the less active half of the learnt clauses longer than two
+    /// literals (skipping those that are the reason of a current
+    /// assignment), then compacts the arena once deleted clauses waste
+    /// more than half of it.
     fn reduce_db(&mut self) {
         self.reduce_count += 1;
-        let mut learnt_idx: Vec<usize> = self
-            .clauses
+        let mut candidates: Vec<u32> = self
+            .learnts
             .iter()
-            .enumerate()
-            .filter(|(_, c)| c.learnt && !c.deleted && c.lits.len() > 2)
-            .map(|(i, _)| i)
+            .copied()
+            .filter(|&c| self.arena.len(c) > 2)
             .collect();
-        learnt_idx.sort_by(|&a, &b| {
-            self.clauses[a]
-                .activity
-                .partial_cmp(&self.clauses[b].activity)
+        debug_assert!(candidates.iter().all(|&c| self.arena.is_learnt(c)));
+        // Stable sort: ties keep creation order.
+        candidates.sort_by(|&a, &b| {
+            self.arena
+                .activity(a)
+                .partial_cmp(&self.arena.activity(b))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let locked: Vec<bool> = learnt_idx
-            .iter()
-            .map(|&ci| {
-                let lit0 = self.clauses[ci].lits[0];
-                self.reason[lit0.var().index()] == ci as u32 && self.value_lit(lit0) == Assign::True
-            })
-            .collect();
-        let target = learnt_idx.len() / 2;
+        let target = candidates.len() / 2;
         let mut removed = 0;
-        for (k, &ci) in learnt_idx.iter().enumerate() {
+        for &c in &candidates {
             if removed >= target {
                 break;
             }
-            if locked[k] {
+            let lit0 = self.arena.lit(c, 0);
+            let locked =
+                self.vars[lit0.var().index()].reason == c && self.vals[lit0.code()] == TRUE;
+            if locked {
                 continue;
             }
-            self.clauses[ci].deleted = true;
-            self.num_learnt -= 1;
+            self.arena.delete(c);
             removed += 1;
         }
-        // Deleted clauses are skipped lazily during propagation.
+        let arena = &self.arena;
+        self.learnts.retain(|&c| !arena.is_deleted(c));
+        // Propagation drops a deleted clause's watchers lazily as it meets
+        // them; compaction drops the rest at once.
+        if self.arena.wasted > self.arena.words.len() / 2 {
+            self.collect_garbage();
+        }
+    }
+
+    /// Compacts the arena, dropping deleted clauses. Live clauses keep
+    /// their relative order, and so do the watchers in every watch list,
+    /// so propagation visits clauses exactly as it would have without the
+    /// compaction.
+    fn collect_garbage(&mut self) {
+        let mut old = std::mem::take(&mut self.arena.words);
+        let mut words = Vec::with_capacity(old.len() - self.arena.wasted);
+        let mut c = 0;
+        while c < old.len() {
+            let header = old[c];
+            let size = HEADER_WORDS + (header & LEN_MASK) as usize;
+            if header & DELETED_BIT == 0 {
+                let moved = words.len() as u32;
+                words.extend_from_slice(&old[c..c + size]);
+                // Forwarding address in the old activity slot.
+                old[c + 1] = moved;
+            }
+            c += size;
+        }
+        let forward = |c: u32| old[c as usize + 1];
+        for ws in &mut self.watches {
+            ws.retain_mut(|w| {
+                let live = old[w.cref() as usize] & DELETED_BIT == 0;
+                if live {
+                    w.clause = forward(w.cref()) | w.clause & BINARY_WATCH;
+                }
+                live
+            });
+        }
+        // Only assigned variables carry a reason, and a reason is never
+        // deleted (reduce_db skips locked clauses).
+        for l in &self.trail {
+            let data = &mut self.vars[l.var().index()];
+            if data.reason != NO_REASON {
+                data.reason = forward(data.reason);
+            }
+        }
+        for c in &mut self.learnts {
+            *c = forward(*c);
+        }
+        self.arena = Arena { words, wasted: 0 };
     }
 
     /// Solves the formula. Returns `true` if satisfiable; the model is then
@@ -665,23 +853,24 @@ impl SatSolver {
                 if self.decision_level() == 0 {
                     return SearchResult::Unsat;
                 }
-                let (learnt, bt) = self.analyze(confl);
+                let bt = self.analyze(confl);
                 self.backtrack(bt);
+                let learnt = std::mem::take(&mut self.learnt_buf);
                 if learnt.len() == 1 {
                     self.unchecked_enqueue(learnt[0], NO_REASON);
                 } else {
-                    let asserting = learnt[0];
-                    let ci = self.attach_clause(learnt, true);
-                    self.bump_clause(ci as usize);
-                    self.unchecked_enqueue(asserting, ci);
+                    let c = self.attach_clause(&learnt, true);
+                    self.bump_clause(c);
+                    self.unchecked_enqueue(learnt[0], c);
                 }
+                self.learnt_buf = learnt;
                 self.var_inc *= VAR_DECAY;
                 self.cla_inc *= CLA_DECAY;
             } else {
                 if conflicts >= conflict_budget {
                     return SearchResult::Restart;
                 }
-                if self.num_learnt > 2000 + 500 * self.reduce_count as usize {
+                if self.learnts.len() > 2000 + 500 * self.reduce_count as usize {
                     self.reduce_db();
                 }
                 // Re-establish assumptions before any free branching: one
@@ -691,14 +880,14 @@ impl SatSolver {
                 let mut posted = false;
                 while (self.decision_level() as usize) < assumptions.len() {
                     let a = assumptions[self.decision_level() as usize];
-                    match self.value_lit(a) {
-                        Assign::True => {
+                    match self.vals[a.code()] {
+                        TRUE => {
                             // Already implied: dummy level keeps the
                             // level-index == assumption-index mapping.
                             self.trail_lim.push(self.trail.len());
                         }
-                        Assign::False => return SearchResult::AssumpUnsat,
-                        Assign::Undef => {
+                        FALSE => return SearchResult::AssumpUnsat,
+                        _ => {
                             self.trail_lim.push(self.trail.len());
                             self.unchecked_enqueue(a, NO_REASON);
                             posted = true;
@@ -1039,6 +1228,77 @@ mod tests {
         }
         assert!(!s.solve());
         assert!(s.stats().conflicts > 0, "full instance needs search");
+    }
+
+    #[test]
+    fn arena_compaction_keeps_verdicts_and_bounds_waste() {
+        // A long incremental session: random 3-SAT blocks at the 4.26
+        // threshold over shared variables, each guarded by its own
+        // activation literal, probed under assumptions until the learnt
+        // database has been reduced several times. Every verdict must
+        // match a fresh solver on the same formula, and the arena never
+        // holds more than twice the words of its live clauses.
+        let mut seed = 0x005E_ED0F_A7E4_u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let n = 150usize;
+        let mut s = SatSolver::new();
+        let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
+        let mut random_lit = || Lit::new(vars[(next() % n as u64) as usize], next() & 1 == 1);
+        let mut clauses: Vec<Vec<Lit>> = Vec::new();
+        let mut activations: Vec<Lit> = Vec::new();
+        let mut compactions = 0;
+        let mut verdicts = [0usize; 2];
+        while s.reduce_count < 6 {
+            assert!(activations.len() < 40, "session too short to reduce");
+            let act = Lit::new(s.new_var(), false);
+            for _ in 0..639 {
+                let mut clause: Vec<Lit> = (0..3).map(|_| random_lit()).collect();
+                clause.push(act.negated());
+                s.add_clause(&clause);
+                clauses.push(clause);
+            }
+            activations.push(act);
+            let k = activations.len();
+            let probes = [
+                vec![act],
+                vec![activations[k.saturating_sub(2)], act],
+                vec![act, random_lit(), random_lit()],
+            ];
+            for assumptions in probes {
+                let words_before = s.arena.words.len();
+                let verdict = s.solve_with_assumptions(&assumptions);
+                if s.arena.words.len() < words_before {
+                    compactions += 1;
+                }
+                let live = s.arena.words.len() - s.arena.wasted;
+                assert!(
+                    s.arena.words.len() <= 2 * live,
+                    "arena {} words for {live} live words",
+                    s.arena.words.len()
+                );
+                assert!(s.is_ok(), "the guarded database itself stays satisfiable");
+                let mut fresh = SatSolver::new();
+                while fresh.num_vars() < s.num_vars() {
+                    fresh.new_var();
+                }
+                for c in &clauses {
+                    fresh.add_clause(c);
+                }
+                let units = assumptions.iter().all(|&a| fresh.add_clause(&[a]));
+                assert_eq!(verdict, units && fresh.solve(), "probe {assumptions:?}");
+                verdicts[usize::from(verdict)] += 1;
+            }
+        }
+        assert!(compactions >= 2, "reductions must trigger compactions");
+        assert!(
+            verdicts[0] > 0 && verdicts[1] > 0,
+            "mixed verdicts {verdicts:?}"
+        );
     }
 
     #[test]

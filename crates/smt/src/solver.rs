@@ -866,8 +866,8 @@ impl Solver {
             let mut value = 0u64;
             for (i, lit) in bits.iter().enumerate() {
                 let node_true = node_var
-                    .get(&lit.node())
-                    .map(|&v| sat.value(v))
+                    .get(lit.node())
+                    .map(|v| sat.value(v))
                     .unwrap_or(false); // outside the cone: don't-care
                 if node_true ^ lit.complemented() {
                     value |= 1 << i;
