@@ -46,7 +46,7 @@ const SMOKE_GENERATED: [&str; 6] = [
 
 /// Parsed harness options (the same flag set as `firmware_kill`).
 pub struct CrossCheckOptions {
-    /// Reduced matrix for CI (X1/X3 x presets + [`SMOKE_GENERATED`]).
+    /// Reduced matrix for CI (X1/X3 x presets + `SMOKE_GENERATED`).
     pub smoke: bool,
     /// Overall kill-rate floor in percent.
     pub floor: f64,

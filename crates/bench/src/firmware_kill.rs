@@ -42,7 +42,7 @@ const SMOKE_GENERATED: [&str; 6] = [
 
 /// Parsed harness options (the same flag set as `mutation_kill`).
 pub struct FirmwareKillOptions {
-    /// Reduced matrix for CI (F1/F2/F5 × presets + [`SMOKE_GENERATED`]).
+    /// Reduced matrix for CI (F1/F2/F5 × presets + `SMOKE_GENERATED`).
     pub smoke: bool,
     /// Overall kill-rate floor in percent.
     pub floor: f64,

@@ -4,9 +4,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use symsc_symex::{
-    Counterexample, ExploreOrder, Explorer, ForkStrategy, Report, SearchStrategy, SymCtx,
-};
+use symsc_symex::{Counterexample, ExploreOrder, Explorer, ForkStrategy, Report, SymCtx};
 
 /// The result of running one named symbolic test.
 #[derive(Clone, Debug)]
@@ -115,12 +113,6 @@ impl Verifier {
         self
     }
 
-    /// Selects the path-selection strategy (default: depth-first).
-    pub fn strategy(mut self, strategy: SearchStrategy) -> Verifier {
-        self.explorer = self.explorer.strategy(strategy);
-        self
-    }
-
     /// Selects how branch forks are materialized (default: copy-on-write
     /// snapshots; [`ForkStrategy::Reexec`] re-solves forked prefixes from
     /// scratch and serves as the differential oracle). Reports are
@@ -134,7 +126,7 @@ impl Verifier {
     /// Selects the exploration order (default: exhaustive).
     /// [`ExploreOrder::MergeEager`] adopts finished join-point subtrees
     /// instead of re-executing them; [`ExploreOrder::CoverageGuided`]
-    /// steers the sequential visitation toward unvisited fork
+    /// steers a one-worker visitation toward unvisited fork
     /// directions. Reports are identical either way — only executed-path
     /// and merge/scheduler statistics change.
     pub fn explore_order(mut self, order: ExploreOrder) -> Verifier {
@@ -143,7 +135,8 @@ impl Verifier {
     }
 
     /// Sets the number of exploration worker threads (`0` = one per
-    /// available hardware thread, `1` = sequential).
+    /// available hardware thread, `1` = the worker loop inline on the
+    /// calling thread).
     pub fn workers(mut self, workers: usize) -> Verifier {
         self.explorer = self.explorer.workers(workers);
         self

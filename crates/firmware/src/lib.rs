@@ -15,7 +15,7 @@
 //!   an enable-mask mutant can expose.
 //! * [`matrix`] — the firmware kill matrix: every generated PLIC mutant
 //!   against every firmware test, mirroring `symsc_mutate`.
-//! * [`reference`] — a [`ReferencePlic`](symsc_plic::ReferencePlic)-backed
+//! * [`reference`](mod@reference) — a [`ReferencePlic`](symsc_plic::ReferencePlic)-backed
 //!   bus model so the same driver binary can run on a golden machine,
 //!   the differential oracle for the firmware fuzz lane.
 

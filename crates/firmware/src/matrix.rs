@@ -1,7 +1,7 @@
 //! The firmware kill matrix: every PLIC mutant against every firmware
 //! test, the software-driven analog of `symsc_mutate`'s register-level
 //! matrix. Rows reuse [`MutantRow`]/[`CellResult`] (they are column
-//! agnostic); only the columns change from [`TestId`](symsc_mutate::TestId)
+//! agnostic); only the columns change from the register-level `TestId`
 //! to [`FirmwareId`].
 
 use symsc_mutate::{CellResult, Mutant, MutantRow};

@@ -322,7 +322,7 @@ impl SatSolver {
     }
 
     /// Number of learnt clauses currently alive in the database (survivors
-    /// of [`reduce_db`](Self::reduce_db), not the cumulative count).
+    /// of `reduce_db`, not the cumulative count).
     pub fn num_learnt(&self) -> usize {
         self.learnts.len()
     }

@@ -24,14 +24,16 @@ pub(crate) struct PathTerm;
 /// Engine state shared between the explorer and every [`SymCtx`] /
 /// [`SymWord`] handle of one exploration.
 ///
-/// Pool and solver live for the *whole* exploration (all paths); the
-/// remaining fields are reset per path by
+/// Pool, solver and work counters live for the worker's *whole*
+/// exploration (all paths); the remaining fields are reset per path by
 /// [`begin_path`](EngineState::begin_path).
 pub(crate) struct EngineState {
     pub(crate) pool: TermPool,
     pub(crate) solver: Solver,
-    /// Exploration-level accumulators.
+    /// Errors recorded on the current path; the explorer harvests them
+    /// into the path's record after every run.
     pub(crate) errors: Vec<SymError>,
+    /// Exploration-level accumulators.
     pub(crate) decisions: u64,
     pub(crate) path_index: u64,
     pub(crate) solver_time: Duration,
@@ -54,9 +56,6 @@ pub(crate) struct EngineState {
     /// appended to in the free region.
     journal: CowVec<u64>,
     journal_cursor: usize,
-    /// `errors.len()` at path start: errors at or past this index belong
-    /// to the current path and travel with snapshots forked from it.
-    path_error_base: usize,
     /// Snapshots captured across the whole exploration (stats).
     pub(crate) fork_snapshots: u64,
     /// Decisions replayed solver-free during fast-forward (stats).
@@ -75,13 +74,8 @@ pub(crate) struct EngineState {
     /// a single concrete path with real branch coverage and no solver
     /// work. This is the fuzzer's execution mode.
     pub(crate) trace: Option<std::collections::HashMap<String, u64>>,
-    /// Functional-coverage bins: label -> number of paths that hit it.
-    pub(crate) coverage: std::collections::BTreeMap<String, u64>,
-    /// Bins hit on the current path (merged into `coverage` per path).
+    /// Functional-coverage bins hit on the current path.
     path_coverage: std::collections::BTreeSet<String>,
-    /// Symbolic branch coverage: fork-site fingerprint -> per-direction
-    /// path counts (merged from `path_branches` per path).
-    pub(crate) branches: std::collections::BTreeMap<u128, crate::stats::BranchCoverage>,
     /// `(site, direction)` pairs decided on the current path. Sites are
     /// structural fingerprints, so they agree across pools and workers.
     path_branches: std::collections::BTreeSet<(u128, bool)>,
@@ -140,7 +134,6 @@ impl EngineState {
             cow,
             journal: CowVec::new(),
             journal_cursor: 0,
-            path_error_base: 0,
             fork_snapshots: 0,
             ff_decisions: 0,
             scratch: Vec::new(),
@@ -149,9 +142,7 @@ impl EngineState {
             budget_exhausted: false,
             replay: None,
             trace: None,
-            coverage: std::collections::BTreeMap::new(),
             path_coverage: std::collections::BTreeSet::new(),
-            branches: std::collections::BTreeMap::new(),
             path_branches: std::collections::BTreeSet::new(),
             cur_env: None,
             merge: None,
@@ -191,7 +182,7 @@ impl EngineState {
         // Errors already recorded on the shared prefix resume with this
         // path, re-indexed to it. (Only check-style guards record and
         // continue; killing errors never precede a fork.)
-        self.path_error_base = self.errors.len();
+        debug_assert!(self.errors.is_empty(), "previous path not harvested");
         for mut error in snapshot.errors {
             error.path = self.path_index;
             self.errors.push(error);
@@ -322,40 +313,18 @@ impl EngineState {
         self.path_coverage.insert(label.to_string());
     }
 
-    /// Folds the current path's bins into the exploration-level counts.
-    pub(crate) fn end_path_coverage(&mut self) {
-        for label in std::mem::take(&mut self.path_coverage) {
-            *self.coverage.entry(label).or_insert(0) += 1;
-        }
-    }
-
     /// The decision directions taken on the current path so far.
     pub(crate) fn taken_so_far(&self) -> Vec<bool> {
         self.taken.clone()
     }
 
     /// Removes and returns the coverage bins hit on the current path.
-    /// Parallel workers fold these into the merged report themselves
-    /// instead of going through [`end_path_coverage`](Self::end_path_coverage).
     pub(crate) fn take_path_coverage(&mut self) -> std::collections::BTreeSet<String> {
         std::mem::take(&mut self.path_coverage)
     }
 
-    /// Folds the current path's `(site, direction)` pairs into the
-    /// exploration-level branch-coverage counts.
-    pub(crate) fn end_path_branches(&mut self) {
-        for (site, dir) in std::mem::take(&mut self.path_branches) {
-            let entry = self.branches.entry(site).or_default();
-            if dir {
-                entry.taken += 1;
-            } else {
-                entry.not_taken += 1;
-            }
-        }
-    }
-
     /// Removes and returns the `(site, direction)` pairs decided on the
-    /// current path; the parallel merge counts them itself.
+    /// current path.
     pub(crate) fn take_path_branches(&mut self) -> std::collections::BTreeSet<(u128, bool)> {
         std::mem::take(&mut self.path_branches)
     }
@@ -496,7 +465,7 @@ impl EngineState {
             PathSnapshot {
                 prefix,
                 journal: self.journal.clone(),
-                errors: self.errors[self.path_error_base..].to_vec(),
+                errors: self.errors.clone(),
                 flip_site: Some(site),
                 trace_errors,
             }
@@ -1004,7 +973,7 @@ impl EngineState {
         // canonically under *this* prefix — the same structural solve the
         // exhaustive oracle would run on the represented path.
         let base_cons = self.constraints.len();
-        let own_errors: Vec<SymError> = self.errors[self.path_error_base..].to_vec();
+        let own_errors: Vec<SymError> = self.errors.clone();
         let mut records: Vec<PathRecord> = Vec::with_capacity(plans.len());
         let mut syn_traces: Vec<PathTrace> = Vec::with_capacity(plans.len());
         for plan in &plans {
@@ -1258,12 +1227,12 @@ impl SymCtx {
         self.engine().note_state(tag, digest);
     }
 
-    /// Number of errors recorded so far in this exploration.
+    /// Number of errors recorded so far on the current path.
     pub fn error_count(&self) -> usize {
         self.engine().errors.len()
     }
 
-    /// The current path's index (0-based).
+    /// The current path's index (0-based) among the paths this worker ran.
     pub fn path_index(&self) -> u64 {
         self.engine().path_index
     }

@@ -1,16 +1,18 @@
 //! The path explorer: copy-on-write snapshot forking over a worklist of
 //! suspended engine snapshots.
 //!
-//! Exploration runs on a pool of worker threads (see
-//! [`Explorer::workers`]). Every pending [`PathSnapshot`] is an
-//! independent unit of work: a worker pops one, *fast-forwards* the
-//! testbench through its forced prefix — solver-free, replaying the
-//! pinned concretizations from the snapshot's journal — and resumes live
-//! execution at the fork point, pushing newly captured snapshots back for
-//! any worker to steal. Workers keep private term pools and solvers but
-//! share one whole-query solver cache, so a feasibility query solved on
-//! any worker is a cache hit on every other. Per-worker results are
-//! merged into canonical (sequential depth-first) order, so the report is
+//! Every path goes through one runner and one worker loop. The loop pops
+//! a pending snapshot from the shared LIFO work queue, *fast-forwards*
+//! the testbench through its forced prefix — solver-free, replaying the
+//! pinned concretizations from the snapshot's journal — resumes live
+//! execution at the fork point, and pushes the snapshots that run forked
+//! back onto the queue. With [`Explorer::workers`]`(1)` the loop runs
+//! inline on the calling thread, which is exactly depth-first
+//! visitation; with more, it runs on that many threads, any of which may
+//! resume a snapshot forked on another. Workers keep private term pools
+//! and solvers but share one whole-query solver cache, so a feasibility
+//! query solved on any worker is a cache hit on every other. Path records
+//! are assembled into canonical (depth-first) order, so the report is
 //! independent of scheduling.
 //!
 //! The original forked *re-execution* engine — prefixes re-solved from
@@ -19,7 +21,7 @@
 
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
@@ -28,7 +30,7 @@ use std::time::{Duration, Instant};
 use symsc_smt::{CexCache, QueryCache, Solver};
 
 use crate::ctx::{EngineState, PathTerm, SymCtx};
-use crate::error::{ErrorKind, Report};
+use crate::error::{Counterexample, ErrorKind, Report};
 use crate::merge::{ExploreOrder, MergeShared, PathRecord};
 use crate::snapshot::PathSnapshot;
 use crate::stats::ExplorationStats;
@@ -53,29 +55,6 @@ fn install_quiet_hook() {
             previous(info);
         }));
     });
-}
-
-/// How the explorer orders pending paths — the analogue of KLEE's
-/// searchers. The paper attributes its fast time-to-first-bug to "KLEE's
-/// symbolic exploration heuristics, which attempt to solve the most
-/// promising paths first"; the strategy is exposed here so its effect can
-/// be measured (see the `exploration` bench).
-///
-/// Strategies order *visitation*, so they only matter on a sequential
-/// exploration ([`Explorer::workers`]`(1)`) — with more workers, paths are
-/// claimed greedily by the pool and the merged report is always in
-/// canonical depth-first order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SearchStrategy {
-    /// Depth-first: follow one execution to the end before backtracking
-    /// (stack order). Deterministic; the default.
-    DepthFirst,
-    /// Breadth-first: explore all paths of depth *n* before any of depth
-    /// *n + 1* (queue order). Finds shallow bugs first.
-    BreadthFirst,
-    /// Random-path selection with a deterministic seed (KLEE's
-    /// `random-path` searcher): picks a pending prefix uniformly.
-    RandomPath(u64),
 }
 
 /// How a fork materializes the other branch — the engine's state-capture
@@ -131,7 +110,6 @@ pub struct Explorer {
     query_cache: bool,
     solver_stack: bool,
     incremental: bool,
-    strategy: SearchStrategy,
     fork: ForkStrategy,
     order: ExploreOrder,
     workers: usize,
@@ -141,7 +119,6 @@ pub struct Explorer {
 /// workers all clone the same handles, so a query or slice solved on any
 /// worker is a hit on every other — semantically invisible either way,
 /// since cached results are bit-for-bit what a fresh solve computes.
-#[derive(Clone)]
 struct SolverSetup {
     query: Option<Arc<QueryCache>>,
     cex: Option<Arc<CexCache>>,
@@ -174,7 +151,6 @@ impl Explorer {
             query_cache: true,
             solver_stack: true,
             incremental: true,
-            strategy: SearchStrategy::DepthFirst,
             fork: ForkStrategy::CowSnapshot,
             order: ExploreOrder::Exhaustive,
             workers: 0,
@@ -230,14 +206,6 @@ impl Explorer {
         self
     }
 
-    /// Selects the path-selection strategy (default: depth-first). Only
-    /// meaningful with [`workers`](Self::workers)`(1)`; see
-    /// [`SearchStrategy`].
-    pub fn strategy(mut self, strategy: SearchStrategy) -> Explorer {
-        self.strategy = strategy;
-        self
-    }
-
     /// Selects the fork strategy (default: copy-on-write snapshots).
     /// [`ForkStrategy::Reexec`] restores the original forked
     /// re-execution engine, the differential oracle — both produce
@@ -248,7 +216,7 @@ impl Explorer {
     }
 
     /// Selects the exploration order (default: exhaustive). See
-    /// [`ExploreOrder`]: `CoverageGuided` reorders the sequential
+    /// [`ExploreOrder`]: `CoverageGuided` reorders a one-worker
     /// visitation toward unvisited fork-site directions, `MergeEager`
     /// merges and subsumes paths at testbench-published join points
     /// (`SymCtx::note_state`). Both report byte-identically to the
@@ -258,15 +226,10 @@ impl Explorer {
         self
     }
 
-    /// Whether the copy-on-write snapshot strategy is active.
-    fn cow_enabled(&self) -> bool {
-        self.fork == ForkStrategy::CowSnapshot
-    }
-
     /// Sets the number of worker threads. `0` (the default) uses
-    /// [`std::thread::available_parallelism`]; `1` runs the exploration
-    /// sequentially on the calling thread, preserving the single-threaded
-    /// engine's exact behavior (shared pool, strategy-ordered visitation).
+    /// [`std::thread::available_parallelism`]; `1` runs the worker loop
+    /// inline on the calling thread (one pool, one solver, depth-first
+    /// visitation).
     pub fn workers(mut self, workers: usize) -> Explorer {
         self.workers = workers;
         self
@@ -281,14 +244,13 @@ impl Explorer {
             .unwrap_or(1)
     }
 
-    /// The exploration-wide cache stack, per this explorer's config.
-    fn solver_setup(&self) -> SolverSetup {
-        SolverSetup {
-            query: self.query_cache.then(|| Arc::new(QueryCache::new())),
-            cex: self.solver_stack.then(|| Arc::new(CexCache::new())),
-            model_reuse: self.solver_stack,
-            incremental: self.incremental,
-        }
+    /// A fresh engine state over `setup`'s cache stack.
+    fn engine_state(&self, setup: &SolverSetup, cow: bool) -> Arc<Mutex<EngineState>> {
+        Arc::new(Mutex::new(EngineState::new(
+            self.max_path_decisions,
+            setup.build(),
+            cow,
+        )))
     }
 
     /// Explores all feasible paths of `testbench`.
@@ -308,439 +270,196 @@ impl Explorer {
     {
         let workers = self.resolved_workers();
         if workers <= 1 {
-            if self.order == ExploreOrder::MergeEager {
-                self.explore_merged_sequential(testbench)
-            } else {
-                self.explore_sequential(testbench)
-            }
-        } else {
-            self.explore_parallel(&testbench, workers)
+            return self.explore_mut(testbench);
         }
-    }
-
-    /// Explores all feasible paths of a testbench that mutates captured
-    /// state (e.g. collects observations into a `Vec`). Mutable captures
-    /// cannot be shared across worker threads, so this always runs
-    /// sequentially, like [`workers`](Self::workers)`(1)`.
-    pub fn explore_mut<F: FnMut(&SymCtx)>(&self, testbench: F) -> Report {
-        if self.order == ExploreOrder::MergeEager {
-            self.explore_merged_sequential(testbench)
-        } else {
-            self.explore_sequential(testbench)
-        }
-    }
-
-    /// The single-threaded engine: one pool, one solver, strategy-ordered
-    /// visitation. This is the reference semantics the parallel engine's
-    /// merged reports are defined against.
-    fn explore_sequential<F: FnMut(&SymCtx)>(&self, mut testbench: F) -> Report {
-        install_quiet_hook();
-        let state = Arc::new(Mutex::new(EngineState::new(
-            self.max_path_decisions,
-            self.solver_setup().build(),
-            self.cow_enabled(),
-        )));
-        let mut worklist: Vec<PathSnapshot> = vec![PathSnapshot::root()];
-        let start = Instant::now();
-        let mut completed = true;
-        let mut paths = 0u64;
-        // xorshift state for SearchStrategy::RandomPath.
-        let mut rng_state = match self.strategy {
-            SearchStrategy::RandomPath(seed) => seed | 1,
-            _ => 0,
-        };
-        let mut promotions = 0u64;
-        // CoverageGuided visits paths out of canonical order, so its
-        // report is assembled from per-path records like the parallel
-        // engine's — a pure function of the explored path set. (The
-        // search strategies intentionally report in visitation order.)
-        let canonical = self.order == ExploreOrder::CoverageGuided;
-        let mut records: Vec<PathRecord> = Vec::new();
-
-        loop {
-            let next = if self.order == ExploreOrder::CoverageGuided {
-                pick_coverage_guided(&mut worklist, &state, &mut promotions)
-            } else {
-                self.pick_next(&mut worklist, &mut rng_state)
-            };
-            let Some(snapshot) = next else { break };
-            if paths >= self.max_paths {
-                completed = false;
-                break;
-            }
-            if let Some(t) = self.timeout {
-                if start.elapsed() >= t {
-                    completed = false;
-                    break;
-                }
-            }
-
-            let ctx = SymCtx::new(state.clone());
-            ctx.engine().begin_path(snapshot);
-            IN_EXPLORATION.with(|f| f.set(true));
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| testbench(&ctx)));
-            IN_EXPLORATION.with(|f| f.set(false));
-            paths += 1;
-
-            if let Err(payload) = outcome {
-                if payload.downcast_ref::<PathTerm>().is_none() {
-                    // A genuine model/testbench panic: the C++ analogue is
-                    // an abort or unhandled exception. Report it with a
-                    // counterexample for the current path.
-                    let message = panic_message(payload.as_ref());
-                    ctx.engine()
-                        .record_error_here(ErrorKind::ModelPanic, message);
-                }
-            }
-
-            let mut st = ctx.engine();
-            st.path_index += 1;
-            if canonical {
-                // Fold branch directions into the exploration-wide map
-                // (the scheduler's signal) while keeping the per-path
-                // record for canonical assembly.
-                let branches = st.take_path_branches();
-                for &(site, dir) in &branches {
-                    let entry = st.branches.entry(site).or_default();
-                    if dir {
-                        entry.taken += 1;
-                    } else {
-                        entry.not_taken += 1;
-                    }
-                }
-                records.push(PathRecord {
-                    taken: st.taken_so_far(),
-                    errors: std::mem::take(&mut st.errors),
-                    coverage: st.take_path_coverage(),
-                    branches,
-                });
-            } else {
-                st.end_path_coverage();
-                st.end_path_branches();
-            }
-            // Push pending prefixes (discovered this run); pick_next
-            // applies the search strategy on removal.
-            let pending = std::mem::take(&mut st.pending);
-            drop(st);
-            worklist.extend(pending);
-        }
-
-        let st = lock_state(&state);
-        if st.budget_exhausted {
-            completed = false;
-        }
-        let time = start.elapsed();
-        if canonical {
-            let stats = ExplorationStats {
-                instructions: st.pool.ops_created() + st.decisions,
-                decisions: st.decisions,
-                time,
-                solver_time: st.solver_time,
-                solver: st.solver.stats(),
-                fork_snapshots: st.fork_snapshots,
-                fast_forward_decisions: st.ff_decisions,
-                executed_paths: paths,
-                sched_promotions: promotions,
-                ..ExplorationStats::default()
-            };
-            return assemble_records(records, stats, completed);
-        }
-        Report {
-            errors: st.errors.clone(),
-            coverage: st.coverage.clone(),
-            stats: ExplorationStats {
-                paths,
-                instructions: st.pool.ops_created() + st.decisions,
-                decisions: st.decisions,
-                time,
-                solver_time: st.solver_time,
-                solver: st.solver.stats(),
-                fork_snapshots: st.fork_snapshots,
-                fast_forward_decisions: st.ff_decisions,
-                branches: st.branches.clone(),
-                executed_paths: paths,
-                sched_promotions: promotions,
-                ..ExplorationStats::default()
-            },
-            completed,
-        }
-    }
-
-    /// The merging engine: like the sequential depth-first engine, but
-    /// paths arriving at a testbench-published join point
-    /// ([`SymCtx::note_state`]) adopt the finished subtree of the first
-    /// arrival instead of re-executing it, when the adoption soundness
-    /// checks pass (see [`crate::merge`]). Adopted subtrees contribute
-    /// *synthesized* path records, so the final report is byte-identical
-    /// to the exhaustive engine's; only `executed_paths` (and the solver
-    /// workload) shrinks.
-    ///
-    /// Visitation is forced depth-first regardless of the configured
-    /// [`SearchStrategy`]: DFS guarantees a join owner's subtree is fully
-    /// drained before any path outside it reaches the join, so every
-    /// eligible arrival finds a complete subtree to adopt.
-    fn explore_merged_sequential<F: FnMut(&SymCtx)>(&self, mut testbench: F) -> Report {
-        install_quiet_hook();
-        let shared = Arc::new(MergeShared::new());
-        let state = Arc::new(Mutex::new(EngineState::new(
-            self.max_path_decisions,
-            self.solver_setup().build(),
-            self.cow_enabled(),
-        )));
-        lock_state(&state).merge = Some(shared.clone());
-        let mut worklist: Vec<PathSnapshot> = vec![PathSnapshot::root()];
-        shared.add_unit(&[]);
-        let start = Instant::now();
-        let mut completed = true;
-        let mut executed = 0u64;
-        let mut records: Vec<PathRecord> = Vec::new();
-
-        while let Some(snapshot) = worklist.pop() {
-            if executed >= self.max_paths {
-                completed = false;
-                break;
-            }
-            if let Some(t) = self.timeout {
-                if start.elapsed() >= t {
-                    completed = false;
-                    break;
-                }
-            }
-            let unit: Vec<bool> = snapshot.unit_prefix().to_vec();
-
-            let ctx = SymCtx::new(state.clone());
-            ctx.engine().begin_path(snapshot);
-            IN_EXPLORATION.with(|f| f.set(true));
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| testbench(&ctx)));
-            IN_EXPLORATION.with(|f| f.set(false));
-            executed += 1;
-
-            if let Err(payload) = outcome {
-                if payload.downcast_ref::<PathTerm>().is_none() {
-                    let message = panic_message(payload.as_ref());
-                    ctx.engine()
-                        .record_error_here(ErrorKind::ModelPanic, message);
-                }
-            }
-
-            let mut st = ctx.engine();
-            st.path_index += 1;
-            harvest_records(&mut st, &mut records);
-            // Unit accounting order matters: pending subtrees must be
-            // visible before this unit retires, or a concurrent arrival
-            // could see the owner subtree as drained while forks of it
-            // are still queued. (Trivially safe sequentially; kept
-            // identical to the parallel discipline.)
-            let pending = std::mem::take(&mut st.pending);
-            drop(st);
-            for snapshot in &pending {
-                shared.add_unit(snapshot.unit_prefix());
-            }
-            shared.remove_unit(&unit);
-            worklist.extend(pending);
-        }
-
-        let st = lock_state(&state);
-        if st.budget_exhausted {
-            completed = false;
-        }
-        let counters = shared.counters();
-        let stats = ExplorationStats {
-            instructions: st.pool.ops_created() + st.decisions,
-            decisions: st.decisions,
-            time: start.elapsed(),
-            solver_time: st.solver_time,
-            solver: st.solver.stats(),
-            fork_snapshots: st.fork_snapshots,
-            fast_forward_decisions: st.ff_decisions,
-            executed_paths: executed,
-            merged_paths: counters.merged_paths,
-            subsumed_paths: counters.subsumed_paths,
-            join_sites: counters.join_sites,
-            merge_rejects: counters.merge_rejects,
-            ..ExplorationStats::default()
-        };
-        assemble_records(records, stats, completed)
-    }
-
-    /// The parallel engine: a pool of `workers` threads drains the shared
-    /// prefix queue. Each worker keeps a private [`EngineState`] (pool +
-    /// solver) and all workers share one whole-query cache; the per-path
-    /// results are merged into canonical depth-first order afterwards, so
-    /// the report does not depend on scheduling.
-    fn explore_parallel<F>(&self, testbench: &F, workers: usize) -> Report
-    where
-        F: Fn(&SymCtx) + Sync,
-    {
-        install_quiet_hook();
-        let start = Instant::now();
-        let setup = self.solver_setup();
-        let queue = WorkQueue::new(vec![PathSnapshot::root()]);
-        let limits = SharedLimits {
-            paths_started: AtomicU64::new(0),
-            max_paths: self.max_paths,
-            deadline: self.timeout.map(|t| start + t),
-            truncated: AtomicBool::new(false),
-        };
-        // Parallel MergeEager: workers share one merge state. An arrival
-        // only adopts while the owner subtree is fully drained, so a
-        // subtree still being executed elsewhere is simply executed again
-        // here — verdicts stay byte-identical, only `executed_paths`
-        // becomes scheduling-dependent.
-        let merge = (self.order == ExploreOrder::MergeEager).then(|| Arc::new(MergeShared::new()));
-        if let Some(shared) = &merge {
-            shared.add_unit(&[]);
-        }
-
-        let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let setup = setup.clone();
-                let merge = merge.clone();
-                let queue = &queue;
-                let limits = &limits;
-                handles.push(
-                    scope.spawn(move || self.run_worker(queue, limits, testbench, setup, merge)),
-                );
-            }
+        let exploration = Exploration::new(self, false);
+        let outputs = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|| self.run_worker(&exploration, &testbench)))
+                .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("exploration worker panicked"))
                 .collect()
         });
-
-        self.merge_outputs(outputs, &limits, start.elapsed(), merge.as_deref())
+        exploration.finish(outputs)
     }
 
-    /// One worker's loop: pop a prefix, re-execute, harvest the path
-    /// record, feed newly forked prefixes back to the queue.
-    fn run_worker<F>(
+    /// Explores all feasible paths of a testbench that mutates captured
+    /// state (e.g. collects observations into a `Vec`). Mutable captures
+    /// cannot be shared across worker threads, so this always runs the
+    /// worker loop inline, like [`workers`](Self::workers)`(1)`.
+    pub fn explore_mut<F: FnMut(&SymCtx)>(&self, testbench: F) -> Report {
+        let guided = self.order == ExploreOrder::CoverageGuided;
+        let exploration = Exploration::new(self, guided);
+        let output = self.run_worker(&exploration, testbench);
+        exploration.finish(vec![output])
+    }
+
+    /// The worker loop: claim a snapshot, run its path, feed the forks
+    /// back to the queue. Under `MergeEager` every fork's work unit is
+    /// published before the finished one retires, so a join owner's
+    /// subtree never looks drained while work under it remains.
+    fn run_worker<F: FnMut(&SymCtx)>(
         &self,
-        queue: &WorkQueue,
-        limits: &SharedLimits,
-        testbench: &F,
-        setup: SolverSetup,
-        merge: Option<Arc<MergeShared>>,
-    ) -> WorkerOutput
-    where
-        F: Fn(&SymCtx) + Sync,
-    {
-        let state = Arc::new(Mutex::new(EngineState::new(
-            self.max_path_decisions,
-            setup.build(),
-            self.cow_enabled(),
-        )));
-        lock_state(&state).merge = merge.clone();
+        exploration: &Exploration,
+        mut testbench: F,
+    ) -> WorkerOutput {
+        let state = self.engine_state(&exploration.setup, self.fork == ForkStrategy::CowSnapshot);
+        lock_state(&state).merge = exploration.merge.clone();
+        let queue = &exploration.queue;
         let mut records = Vec::new();
         let mut executed = 0u64;
 
         while let Some(snapshot) = queue.pop() {
-            let over_budget =
-                limits.paths_started.fetch_add(1, AtomicOrdering::SeqCst) >= limits.max_paths;
-            let past_deadline = limits
-                .deadline
-                .is_some_and(|deadline| Instant::now() >= deadline);
-            if over_budget || past_deadline {
-                limits.truncated.store(true, AtomicOrdering::SeqCst);
+            if !exploration.limits.claim() {
                 queue.halt();
-                queue.complete(Vec::new());
+                queue.complete(Vec::new(), &[]);
                 break;
             }
-            let unit: Vec<bool> = snapshot.unit_prefix().to_vec();
-
-            let ctx = SymCtx::new(state.clone());
-            ctx.engine().begin_path(snapshot);
-            IN_EXPLORATION.with(|f| f.set(true));
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| testbench(&ctx)));
-            IN_EXPLORATION.with(|f| f.set(false));
+            let unit = snapshot.unit_prefix().to_vec();
+            let first = records.len();
+            let forks = run_path(&state, snapshot, &mut testbench, &mut records);
             executed += 1;
-
-            if let Err(payload) = outcome {
-                if payload.downcast_ref::<PathTerm>().is_none() {
-                    let message = panic_message(payload.as_ref());
-                    ctx.engine()
-                        .record_error_here(ErrorKind::ModelPanic, message);
-                }
-            }
-
-            let mut st = ctx.engine();
-            st.path_index += 1;
-            harvest_records(&mut st, &mut records);
-            let pending = std::mem::take(&mut st.pending);
-            drop(st);
-            if let Some(shared) = &merge {
-                // Publish the forks' units before retiring this one, so
-                // the subtree never looks drained while work remains.
-                for snapshot in &pending {
-                    shared.add_unit(snapshot.unit_prefix());
+            if let Some(shared) = &exploration.merge {
+                for fork in &forks {
+                    shared.add_unit(fork.unit_prefix());
                 }
                 shared.remove_unit(&unit);
             }
-            queue.complete(pending);
+            queue.complete(forks, &records[first..]);
         }
 
         let st = lock_state(&state);
         WorkerOutput {
             records,
-            decisions: st.decisions,
-            pool_ops: st.pool.ops_created(),
-            solver_time: st.solver_time,
-            solver: st.solver.stats(),
-            fork_snapshots: st.fork_snapshots,
-            ff_decisions: st.ff_decisions,
+            stats: ExplorationStats {
+                executed_paths: executed,
+                ..engine_stats(&st)
+            },
             budget_exhausted: st.budget_exhausted,
-            executed,
         }
     }
 
-    /// Merges per-worker results into a report in canonical order: path
-    /// records sort by their decision vectors (taken-true before
-    /// taken-false), which is exactly the order the sequential depth-first
-    /// engine visits paths in. Error path indices are renumbered to that
-    /// order and coverage bins are re-counted, so the merged report is a
-    /// pure function of the explored path set.
-    fn merge_outputs(
+    /// Replays a testbench *concretely* on a counterexample: every
+    /// `symbolic` input resolves to its recorded value, so exactly one
+    /// path executes and no solver is involved. This is the paper's
+    /// "compile the bytecode into a machine-native executable and attach a
+    /// debugger" step — the error reproduces deterministically.
+    ///
+    /// The returned report covers that single path (the reproduced errors
+    /// carry the replayed input values as their counterexample). Replay is
+    /// always a single path on the calling thread; the worker setting does
+    /// not apply.
+    pub fn replay<F: FnMut(&SymCtx)>(
         &self,
-        outputs: Vec<WorkerOutput>,
-        limits: &SharedLimits,
-        time: Duration,
-        merge: Option<&MergeShared>,
+        counterexample: &Counterexample,
+        testbench: F,
     ) -> Report {
-        let mut completed = !limits.truncated.load(AtomicOrdering::SeqCst);
+        self.run_concrete(testbench, |st| st.replay = Some(counterexample.to_map()))
+    }
+
+    /// Runs a testbench *concolically* on a concrete assignment: inputs
+    /// stay symbolic (so fork sites keep the structural fingerprints the
+    /// exploration would compute), but every decision is evaluated under
+    /// the assignment instead of solved. Exactly one path executes, no
+    /// solver is involved, and — unlike [`replay`](Self::replay), which
+    /// constant-folds the inputs and therefore records no fork sites —
+    /// the report's `stats.branches` holds real branch coverage, keyed by
+    /// the *same* fingerprints symbolic exploration uses.
+    ///
+    /// This is the coverage-guided fuzzer's execution mode: it makes a
+    /// concrete run's coverage directly comparable (and mergeable) with a
+    /// symbolic exploration's.
+    pub fn trace<F: FnMut(&SymCtx)>(&self, assignment: &Counterexample, testbench: F) -> Report {
+        self.run_concrete(testbench, |st| st.trace = Some(assignment.to_map()))
+    }
+
+    /// Runs the single path of a replay or trace on a fresh engine that
+    /// `configure` has switched to its concrete mode.
+    fn run_concrete<F: FnMut(&SymCtx)>(
+        &self,
+        mut testbench: F,
+        configure: impl FnOnce(&mut EngineState),
+    ) -> Report {
+        let start = Instant::now();
+        let state = self.engine_state(&self.solver_setup(), false);
+        configure(&mut lock_state(&state));
         let mut records = Vec::new();
-        let mut stats = ExplorationStats {
-            time,
-            ..ExplorationStats::default()
+        run_path(&state, PathSnapshot::root(), &mut testbench, &mut records);
+        let stats = ExplorationStats {
+            executed_paths: 1,
+            time: start.elapsed(),
+            ..engine_stats(&lock_state(&state))
         };
-        for output in outputs {
-            records.extend(output.records);
-            stats.decisions += output.decisions;
-            stats.instructions += output.pool_ops;
-            stats.solver_time += output.solver_time;
-            stats.solver.merge(&output.solver);
-            stats.fork_snapshots += output.fork_snapshots;
-            stats.fast_forward_decisions += output.ff_decisions;
-            stats.executed_paths += output.executed;
-            if output.budget_exhausted {
-                completed = false;
-            }
+        assemble_records(records, stats, true)
+    }
+
+    /// The exploration-wide cache stack, per this explorer's config.
+    fn solver_setup(&self) -> SolverSetup {
+        SolverSetup {
+            query: self.query_cache.then(|| Arc::new(QueryCache::new())),
+            cex: self.solver_stack.then(|| Arc::new(CexCache::new())),
+            model_reuse: self.solver_stack,
+            incremental: self.incremental,
         }
-        stats.instructions += stats.decisions;
-        if let Some(shared) = merge {
-            let counters = shared.counters();
-            stats.merged_paths = counters.merged_paths;
-            stats.subsumed_paths = counters.subsumed_paths;
-            stats.join_sites = counters.join_sites;
-            stats.merge_rejects = counters.merge_rejects;
+    }
+}
+
+/// The path runner: runs `testbench` once, resuming `snapshot` on
+/// `state`, and appends the finished run's records to `records` — the
+/// path's own record, or the records synthesized from a subtree it
+/// adopted at a join point. Panics from model code are recorded as
+/// [`ErrorKind::ModelPanic`] errors on the path. Returns the snapshots
+/// the run forked.
+fn run_path<F: FnMut(&SymCtx)>(
+    state: &Arc<Mutex<EngineState>>,
+    snapshot: PathSnapshot,
+    testbench: &mut F,
+    records: &mut Vec<PathRecord>,
+) -> Vec<PathSnapshot> {
+    install_quiet_hook();
+    let ctx = SymCtx::new(state.clone());
+    ctx.engine().begin_path(snapshot);
+    IN_EXPLORATION.with(|f| f.set(true));
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| testbench(&ctx)));
+    IN_EXPLORATION.with(|f| f.set(false));
+
+    if let Err(payload) = outcome {
+        if payload.downcast_ref::<PathTerm>().is_none() {
+            // A genuine model/testbench panic: the C++ analogue is an
+            // abort or unhandled exception. Report it with a
+            // counterexample for the current path.
+            let message = panic_message(payload.as_ref());
+            ctx.engine()
+                .record_error_here(ErrorKind::ModelPanic, message);
         }
-        assemble_records(records, stats, completed)
+    }
+
+    let mut st = ctx.engine();
+    st.path_index += 1;
+    harvest_records(&mut st, records);
+    std::mem::take(&mut st.pending)
+}
+
+/// The work counters of one engine state (everything but the path
+/// records, the time and the exploration-wide merge/scheduler counters).
+fn engine_stats(st: &EngineState) -> ExplorationStats {
+    ExplorationStats {
+        instructions: st.pool.ops_created() + st.decisions,
+        decisions: st.decisions,
+        solver_time: st.solver_time,
+        solver: st.solver.stats(),
+        fork_snapshots: st.fork_snapshots,
+        fast_forward_decisions: st.ff_decisions,
+        ..ExplorationStats::default()
     }
 }
 
 /// Assembles path records into the canonical report: records sort by
 /// their decision vectors (taken-true before taken-false), which is
-/// exactly the order the sequential depth-first engine visits paths in.
-/// Error path indices are renumbered to that order and coverage bins and
+/// exactly the order depth-first visitation completes paths in. Error
+/// path indices are renumbered to that order and coverage bins and
 /// branch maps are re-counted, so the report is a pure function of the
 /// represented path set — independent of workers, scheduling, and merge
 /// decisions.
@@ -761,8 +480,8 @@ fn assemble_records(
         for bin in record.coverage {
             *coverage.entry(bin).or_insert(0) += 1;
         }
-        // Per-direction sums are order-independent, so the merged
-        // branch map matches the sequential engine's exactly.
+        // Per-direction sums are order-independent, so the branch map
+        // is the same at any worker count.
         for (site, dir) in record.branches {
             let entry = stats.branches.entry(site).or_default();
             if dir {
@@ -803,187 +522,75 @@ fn harvest_records(st: &mut EngineState, records: &mut Vec<PathRecord>) {
     }
 }
 
-/// The coverage-guided sequential pick: prefer the deepest pending
-/// snapshot whose flipped fork direction is still unvisited in the
-/// exploration-wide branch map; fall back to plain depth-first. A
-/// reordering heuristic only — the visited path *set* (and hence the
-/// report) is unchanged.
-fn pick_coverage_guided(
-    worklist: &mut Vec<PathSnapshot>,
-    state: &Arc<Mutex<EngineState>>,
-    promotions: &mut u64,
-) -> Option<PathSnapshot> {
-    if worklist.is_empty() {
-        return None;
-    }
-    let pick = {
-        let st = lock_state(state);
-        worklist.iter().rposition(|snapshot| {
-            snapshot
-                .flip_site
-                .is_some_and(|site| st.branches.get(&site).is_none_or(|cov| cov.not_taken == 0))
-        })
-    };
-    match pick {
-        Some(index) if index + 1 != worklist.len() => {
-            *promotions += 1;
-            Some(worklist.remove(index))
-        }
-        _ => worklist.pop(),
-    }
+/// What one exploration's workers share: the work queue, the budgets,
+/// the solver cache stack and (under `MergeEager`) the merge state.
+struct Exploration {
+    start: Instant,
+    setup: SolverSetup,
+    queue: WorkQueue,
+    limits: SharedLimits,
+    /// Join-point merge state. With several workers an arrival only
+    /// adopts while the owner subtree is fully drained, so a subtree
+    /// still being executed elsewhere is simply executed again — reports
+    /// stay byte-identical, only `executed_paths` becomes
+    /// scheduling-dependent.
+    merge: Option<Arc<MergeShared>>,
 }
 
-impl Explorer {
-    /// Replays a testbench *concretely* on a counterexample: every
-    /// `symbolic` input resolves to its recorded value, so exactly one
-    /// path executes and no solver is involved. This is the paper's
-    /// "compile the bytecode into a machine-native executable and attach a
-    /// debugger" step — the error reproduces deterministically.
-    ///
-    /// The returned report covers that single path (the reproduced errors
-    /// carry the replayed input values as their counterexample). Replay is
-    /// always sequential; the worker setting does not apply.
-    pub fn replay<F: FnMut(&SymCtx)>(
-        &self,
-        counterexample: &crate::error::Counterexample,
-        mut testbench: F,
-    ) -> Report {
-        install_quiet_hook();
-        let state = Arc::new(Mutex::new(EngineState::new(
-            self.max_path_decisions,
-            self.solver_setup().build(),
-            false,
-        )));
-        lock_state(&state).replay = Some(counterexample.to_map());
+impl Exploration {
+    /// A fresh exploration of `explorer`'s configuration, its queue
+    /// seeded with the root snapshot. `guided` installs the
+    /// coverage-guided pick policy.
+    fn new(explorer: &Explorer, guided: bool) -> Exploration {
         let start = Instant::now();
-
-        let ctx = SymCtx::new(state.clone());
-        ctx.engine().begin_path(PathSnapshot::root());
-        IN_EXPLORATION.with(|f| f.set(true));
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| testbench(&ctx)));
-        IN_EXPLORATION.with(|f| f.set(false));
-        if let Err(payload) = outcome {
-            if payload.downcast_ref::<PathTerm>().is_none() {
-                let message = panic_message(payload.as_ref());
-                ctx.engine()
-                    .record_error_here(ErrorKind::ModelPanic, message);
-            }
-        }
-
-        let mut st = lock_state(&state);
-        st.end_path_coverage();
-        st.end_path_branches();
-        let st = &*st;
-        let time = start.elapsed();
-        Report {
-            errors: st.errors.clone(),
-            coverage: st.coverage.clone(),
-            stats: ExplorationStats {
-                paths: 1,
-                instructions: st.pool.ops_created() + st.decisions,
-                decisions: st.decisions,
-                time,
-                solver_time: st.solver_time,
-                solver: st.solver.stats(),
-                fork_snapshots: 0,
-                fast_forward_decisions: 0,
-                branches: st.branches.clone(),
-                executed_paths: 1,
-                ..ExplorationStats::default()
+        let merge = (explorer.order == ExploreOrder::MergeEager).then(|| {
+            let shared = Arc::new(MergeShared::new());
+            shared.add_unit(&[]);
+            shared
+        });
+        Exploration {
+            start,
+            setup: explorer.solver_setup(),
+            queue: WorkQueue::new(PathSnapshot::root(), guided.then(Guide::default)),
+            limits: SharedLimits {
+                paths_started: AtomicU64::new(0),
+                max_paths: explorer.max_paths,
+                deadline: explorer.timeout.map(|t| start + t),
+                truncated: AtomicBool::new(false),
             },
-            completed: true,
+            merge,
         }
     }
 
-    /// Runs a testbench *concolically* on a concrete assignment: inputs
-    /// stay symbolic (so fork sites keep the structural fingerprints the
-    /// exploration would compute), but every decision is evaluated under
-    /// the assignment instead of solved. Exactly one path executes, no
-    /// solver is involved, and — unlike [`replay`](Self::replay), which
-    /// constant-folds the inputs and therefore records no fork sites —
-    /// the report's `stats.branches` holds real branch coverage, keyed by
-    /// the *same* fingerprints symbolic exploration uses.
-    ///
-    /// This is the coverage-guided fuzzer's execution mode: it makes a
-    /// concrete run's coverage directly comparable (and mergeable) with a
-    /// symbolic exploration's.
-    pub fn trace<F: FnMut(&SymCtx)>(
-        &self,
-        assignment: &crate::error::Counterexample,
-        mut testbench: F,
-    ) -> Report {
-        install_quiet_hook();
-        let state = Arc::new(Mutex::new(EngineState::new(
-            self.max_path_decisions,
-            self.solver_setup().build(),
-            false,
-        )));
-        lock_state(&state).trace = Some(assignment.to_map());
-        let start = Instant::now();
-
-        let ctx = SymCtx::new(state.clone());
-        ctx.engine().begin_path(PathSnapshot::root());
-        IN_EXPLORATION.with(|f| f.set(true));
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| testbench(&ctx)));
-        IN_EXPLORATION.with(|f| f.set(false));
-        if let Err(payload) = outcome {
-            if payload.downcast_ref::<PathTerm>().is_none() {
-                let message = panic_message(payload.as_ref());
-                ctx.engine()
-                    .record_error_here(ErrorKind::ModelPanic, message);
-            }
+    /// Folds the workers' outputs into the canonical report.
+    fn finish(self, outputs: Vec<WorkerOutput>) -> Report {
+        let mut completed = !self.limits.truncated.load(AtomicOrdering::SeqCst);
+        let mut records = Vec::new();
+        let mut stats = ExplorationStats {
+            time: self.start.elapsed(),
+            sched_promotions: self.queue.lock().guide.as_ref().map_or(0, |g| g.promotions),
+            ..ExplorationStats::default()
+        };
+        for output in outputs {
+            records.extend(output.records);
+            let work = output.stats;
+            stats.instructions += work.instructions;
+            stats.decisions += work.decisions;
+            stats.solver_time += work.solver_time;
+            stats.solver.merge(&work.solver);
+            stats.fork_snapshots += work.fork_snapshots;
+            stats.fast_forward_decisions += work.fast_forward_decisions;
+            stats.executed_paths += work.executed_paths;
+            completed &= !output.budget_exhausted;
         }
-
-        let mut st = lock_state(&state);
-        st.end_path_coverage();
-        st.end_path_branches();
-        let st = &*st;
-        let time = start.elapsed();
-        Report {
-            errors: st.errors.clone(),
-            coverage: st.coverage.clone(),
-            stats: ExplorationStats {
-                paths: 1,
-                instructions: st.pool.ops_created() + st.decisions,
-                decisions: st.decisions,
-                time,
-                solver_time: st.solver_time,
-                solver: st.solver.stats(),
-                fork_snapshots: 0,
-                fast_forward_decisions: 0,
-                branches: st.branches.clone(),
-                executed_paths: 1,
-                ..ExplorationStats::default()
-            },
-            completed: true,
+        if let Some(shared) = &self.merge {
+            let counters = shared.counters();
+            stats.merged_paths = counters.merged_paths;
+            stats.subsumed_paths = counters.subsumed_paths;
+            stats.join_sites = counters.join_sites;
+            stats.merge_rejects = counters.merge_rejects;
         }
-    }
-}
-
-impl Explorer {
-    /// Removes and returns the next snapshot to explore, per the strategy.
-    fn pick_next(
-        &self,
-        worklist: &mut Vec<PathSnapshot>,
-        rng_state: &mut u64,
-    ) -> Option<PathSnapshot> {
-        if worklist.is_empty() {
-            return None;
-        }
-        match self.strategy {
-            SearchStrategy::DepthFirst => worklist.pop(),
-            SearchStrategy::BreadthFirst => Some(worklist.remove(0)),
-            SearchStrategy::RandomPath(_) => {
-                // xorshift64*
-                let mut x = *rng_state;
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                *rng_state = x;
-                let idx = (x as usize) % worklist.len();
-                Some(worklist.swap_remove(idx))
-            }
-        }
+        assemble_records(records, stats, completed)
     }
 }
 
@@ -997,25 +604,71 @@ struct SharedLimits {
     truncated: AtomicBool,
 }
 
-/// A worker's complete contribution: its path records plus the counters of
-/// its private engine state.
+impl SharedLimits {
+    /// Claims one more path; `false` (and the exploration marked
+    /// truncated) once the path budget or the deadline is exhausted.
+    fn claim(&self) -> bool {
+        let over_budget = self.paths_started.fetch_add(1, AtomicOrdering::SeqCst) >= self.max_paths;
+        let past_deadline = self
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline);
+        if over_budget || past_deadline {
+            self.truncated.store(true, AtomicOrdering::SeqCst);
+            return false;
+        }
+        true
+    }
+}
+
+/// A worker's complete contribution: its path records plus the work
+/// counters of its private engine state.
 struct WorkerOutput {
     records: Vec<PathRecord>,
-    decisions: u64,
-    pool_ops: u64,
-    solver_time: Duration,
-    solver: symsc_smt::SolverStats,
-    fork_snapshots: u64,
-    ff_decisions: u64,
+    stats: ExplorationStats,
     budget_exhausted: bool,
-    /// Testbench runs actually performed (>= `records.len()` only when a
-    /// run was absorbed at a join point and synthesized several records).
-    executed: u64,
+}
+
+/// The coverage-guided pick policy (`ExploreOrder::CoverageGuided`):
+/// prefer the deepest pending snapshot whose flipped fork direction no
+/// finished path has taken yet; fall back to plain depth-first. A
+/// reordering heuristic only — the visited path *set* (and hence the
+/// report) is unchanged. Installed only when the worker loop runs inline.
+#[derive(Default)]
+struct Guide {
+    /// Fork sites some finished path decided `false`.
+    not_taken: HashSet<u128>,
+    /// Snapshots picked out of depth-first order.
+    promotions: u64,
+}
+
+impl Guide {
+    fn pick(&mut self, queue: &mut Vec<PathSnapshot>) -> Option<PathSnapshot> {
+        let fresh = queue.iter().rposition(|snapshot| {
+            snapshot
+                .flip_site
+                .is_some_and(|site| !self.not_taken.contains(&site))
+        });
+        match fresh {
+            Some(index) if index + 1 != queue.len() => {
+                self.promotions += 1;
+                Some(queue.remove(index))
+            }
+            _ => queue.pop(),
+        }
+    }
+
+    fn observe(&mut self, records: &[PathRecord]) {
+        for record in records {
+            let sites = record.branches.iter().filter(|(_, dir)| !dir);
+            self.not_taken.extend(sites.map(|&(site, _)| site));
+        }
+    }
 }
 
 /// The shared work queue of pending path snapshots — the work-stealing
 /// point of the pool: any worker may resume a snapshot forked on any
-/// other (snapshots are pool-independent by construction).
+/// other (snapshots are pool-independent by construction). Pops are LIFO
+/// (depth-first) unless a [`Guide`] picks.
 ///
 /// `in_flight` counts snapshots popped but not yet completed: the queue is
 /// only *drained* when it is empty **and** nothing is in flight, because a
@@ -1030,15 +683,17 @@ struct QueueState {
     queue: Vec<PathSnapshot>,
     in_flight: usize,
     halted: bool,
+    guide: Option<Guide>,
 }
 
 impl WorkQueue {
-    fn new(initial: Vec<PathSnapshot>) -> WorkQueue {
+    fn new(root: PathSnapshot, guide: Option<Guide>) -> WorkQueue {
         WorkQueue {
             state: Mutex::new(QueueState {
-                queue: initial,
+                queue: vec![root],
                 in_flight: 0,
                 halted: false,
+                guide,
             }),
             ready: Condvar::new(),
         }
@@ -1057,7 +712,12 @@ impl WorkQueue {
             if st.halted {
                 return None;
             }
-            if let Some(snapshot) = st.queue.pop() {
+            let st_ref = &mut *st;
+            let next = match &mut st_ref.guide {
+                Some(guide) => guide.pick(&mut st_ref.queue),
+                None => st_ref.queue.pop(),
+            };
+            if let Some(snapshot) = next {
                 st.in_flight += 1;
                 return Some(snapshot);
             }
@@ -1068,9 +728,13 @@ impl WorkQueue {
         }
     }
 
-    /// Marks one claimed snapshot as done, adding the snapshots it forked.
-    fn complete(&self, forked: Vec<PathSnapshot>) {
+    /// Marks one claimed snapshot as done, adding the snapshots it forked
+    /// and showing the guide the records it produced.
+    fn complete(&self, forked: Vec<PathSnapshot>, finished: &[PathRecord]) {
         let mut st = self.lock();
+        if let Some(guide) = &mut st.guide {
+            guide.observe(finished);
+        }
         st.queue.extend(forked);
         st.in_flight -= 1;
         // Wake waiters: either new work arrived, or the drain condition
@@ -1089,8 +753,8 @@ impl WorkQueue {
 /// Canonical path order: compares two decision vectors with *true before
 /// false* at the first differing decision. A pending prefix is spawned at
 /// the decision it flips to false, so this is exactly the order in which
-/// the sequential depth-first engine completes paths. Distinct paths are
-/// never prefixes of one another (re-execution of a common prefix is
+/// depth-first visitation completes paths. Distinct paths are never
+/// prefixes of one another (re-execution of a common prefix is
 /// deterministic), so the tie-break on length is defensive only.
 fn cmp_decision_order(a: &[bool], b: &[bool]) -> Ordering {
     for (x, y) in a.iter().zip(b.iter()) {
@@ -1162,19 +826,80 @@ mod tests {
         assert_eq!(e.counterexample.value("x"), 0x2A);
     }
 
+    /// Nine paths in depth-first order: path `i < 8` is `x == i` and hits
+    /// bin `x{i}`, path 8 is every other value and hits `other`. Paths 1,
+    /// 4 and 7 fail a check.
+    fn budget_bench(ctx: &SymCtx) {
+        let x = ctx.symbolic("x", Width::W8);
+        for v in 0..8u64 {
+            let k = ctx.word(v, Width::W8);
+            if ctx.decide(&x.eq(&k)) {
+                ctx.cover(&format!("x{v}"));
+                ctx.check_concrete(v % 3 != 1, "x is 1 mod 3");
+                return;
+            }
+        }
+        ctx.cover("other");
+    }
+
+    /// The report fields a path budget must truncate exactly.
+    fn budget_view(report: &Report) -> String {
+        let mut view = format!(
+            "paths={} completed={}\n",
+            report.stats.paths, report.completed
+        );
+        for e in &report.errors {
+            view += &format!(
+                "error path={} {:?} {} {}\n",
+                e.path, e.kind, e.message, e.counterexample
+            );
+        }
+        for (bin, count) in &report.coverage {
+            view += &format!("cover {bin}={count}\n");
+        }
+        view
+    }
+
     #[test]
     fn path_budget_marks_report_incomplete() {
-        let report = Explorer::new().max_paths(2).explore(|ctx| {
-            let x = ctx.symbolic("x", Width::W8);
-            for v in 0..8u64 {
-                let k = ctx.word(v, Width::W8);
-                if ctx.decide(&x.eq(&k)) {
-                    return;
-                }
+        let full = Explorer::new().workers(1).explore(budget_bench);
+        assert!(full.completed);
+        assert_eq!(full.stats.paths, 9);
+        let paths: Vec<u64> = full.errors.iter().map(|e| e.path).collect();
+        assert_eq!(paths, [1, 4, 7]);
+
+        // At one worker, `max_paths(k)` yields exactly the first k paths
+        // of the full exploration, through either entry point.
+        for k in [0u64, 1, 2, 5, 8, 9] {
+            let explorer = Explorer::new().workers(1).max_paths(k);
+            let truncated = explorer.explore(budget_bench);
+            assert_eq!(truncated.stats.paths, k, "max_paths({k})");
+            assert_eq!(truncated.completed, k == 9, "max_paths({k})");
+            let errors: Vec<_> = full.errors.iter().filter(|e| e.path < k).collect();
+            assert_eq!(truncated.errors.len(), errors.len(), "max_paths({k})");
+            for (t, f) in truncated.errors.iter().zip(errors) {
+                assert_eq!(
+                    (t.path, t.kind, &t.message, &t.counterexample),
+                    (f.path, f.kind, &f.message, &f.counterexample),
+                    "max_paths({k})"
+                );
             }
-        });
-        assert!(!report.completed);
-        assert!(report.stats.paths <= 2);
+            let bin = |i: u64| {
+                if i < 8 {
+                    format!("x{i}")
+                } else {
+                    "other".into()
+                }
+            };
+            let bins: BTreeMap<String, u64> = (0..k).map(|i| (bin(i), 1)).collect();
+            assert_eq!(truncated.coverage, bins, "max_paths({k})");
+            let mutable = explorer.explore_mut(budget_bench);
+            assert_eq!(
+                budget_view(&mutable),
+                budget_view(&truncated),
+                "max_paths({k})"
+            );
+        }
     }
 
     #[test]
@@ -1311,6 +1036,19 @@ mod parallel_tests {
             assert_eq!(par.coverage, seq.coverage, "{workers} workers");
             assert_eq!(par.stats.decisions, seq.stats.decisions);
             assert!(par.completed);
+        }
+    }
+
+    #[test]
+    fn depth_first_finds_the_needle_on_the_next_path() {
+        // The root path takes every decision `true`; depth-first pops the
+        // most recent fork next — the bit-3 flip, which is the needle.
+        // Canonical assembly keeps that index at any worker count.
+        for workers in [1, 2, 8] {
+            let report = Explorer::new().workers(workers).explore(ladder);
+            assert_eq!(report.errors.len(), 1, "{workers} workers");
+            assert_eq!(report.errors[0].path, 1, "{workers} workers");
+            assert_eq!(report.errors[0].counterexample.value("x"), 0b0111);
         }
     }
 
@@ -1569,79 +1307,6 @@ mod replay_tests {
         let traced = explorer.trace(&outside, bench);
         assert!(traced.passed());
         assert_eq!(traced.stats.paths, 1);
-    }
-}
-
-#[cfg(test)]
-mod strategy_tests {
-    use super::*;
-    use crate::Width;
-
-    /// A forking ladder: 4 nested decisions -> 16 paths; the path with
-    /// x == 0b0111 (bits 0..2 set, bit 3 clear) errors. The first path of
-    /// *any* strategy is the root (all decisions default to true), so the
-    /// needle is placed one flip away from it: depth-first finds it on
-    /// the very next path, breadth-first only after the other one-flip
-    /// prefixes of earlier decisions.
-    fn ladder(ctx: &SymCtx) {
-        let x = ctx.symbolic("x", Width::W8);
-        ctx.assume(&x.ult(&ctx.word(16, Width::W8)));
-        let mut bits = [false; 4];
-        for bit in 0..4u32 {
-            let b = x.bit(bit).to_word();
-            let one = ctx.word(1, Width::W1);
-            bits[bit as usize] = ctx.decide(&b.eq(&one));
-        }
-        let needle = bits == [true, true, true, false]; // x == 0b0111
-        ctx.check_concrete(!needle, "0b0111 is the needle");
-    }
-
-    #[test]
-    fn all_strategies_find_the_same_errors() {
-        for strategy in [
-            SearchStrategy::DepthFirst,
-            SearchStrategy::BreadthFirst,
-            SearchStrategy::RandomPath(7),
-            SearchStrategy::RandomPath(1234),
-        ] {
-            let report = Explorer::new()
-                .workers(1)
-                .strategy(strategy)
-                .explore(ladder);
-            assert_eq!(report.stats.paths, 16, "{strategy:?}");
-            assert_eq!(report.errors.len(), 1, "{strategy:?}");
-            assert_eq!(report.errors[0].counterexample.value("x"), 0b0111);
-            assert!(report.completed, "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn strategies_order_paths_differently() {
-        let dfs = Explorer::new()
-            .workers(1)
-            .strategy(SearchStrategy::DepthFirst)
-            .explore(ladder);
-        let bfs = Explorer::new()
-            .workers(1)
-            .strategy(SearchStrategy::BreadthFirst)
-            .explore(ladder);
-        // DFS pops the most recent fork (the bit-3 flip of the root path)
-        // first; BFS drains the older forks (bits 0..2) before it.
-        assert_eq!(dfs.errors[0].path, 1, "DFS: needle on the next path");
-        assert_eq!(bfs.errors[0].path, 4, "BFS: needle after the level");
-    }
-
-    #[test]
-    fn random_path_is_deterministic_per_seed() {
-        let a = Explorer::new()
-            .workers(1)
-            .strategy(SearchStrategy::RandomPath(99))
-            .explore(ladder);
-        let b = Explorer::new()
-            .workers(1)
-            .strategy(SearchStrategy::RandomPath(99))
-            .explore(ladder);
-        assert_eq!(a.errors[0].path, b.errors[0].path);
     }
 }
 

@@ -65,16 +65,17 @@ pub enum ExploreOrder {
     /// Prioritize pending snapshots whose fork site has an unvisited
     /// `false` direction — KLEE-style coverage-first scheduling. A pure
     /// visitation order: the explored path set (and the report) is
-    /// unchanged. Only meaningful on a sequential exploration, like
-    /// [`SearchStrategy`](crate::SearchStrategy).
+    /// unchanged. Only applies when the worker loop runs inline
+    /// ([`Explorer::workers`](crate::Explorer::workers)`(1)` or
+    /// [`Explorer::explore_mut`](crate::Explorer::explore_mut)).
     CoverageGuided,
     /// Merge and subsume paths at testbench-published join points (see
     /// the [module docs](self)). Reports stay byte-identical to
     /// [`Exhaustive`](ExploreOrder::Exhaustive); `stats.paths` still
     /// counts *represented* paths, while `stats.executed_paths` counts
-    /// the (much smaller) number physically executed. Sequential runs
-    /// are forced depth-first so every join owner completes its subtree
-    /// before any sibling arrives.
+    /// the (much smaller) number physically executed. One-worker runs
+    /// are depth-first, so every join owner completes its subtree before
+    /// any sibling arrives.
     MergeEager,
 }
 

@@ -83,7 +83,7 @@ pub struct ExplorationStats {
     /// back to normal execution.
     pub merge_rejects: u64,
     /// Pending snapshots promoted out of depth-first order by the
-    /// coverage-guided scheduler (sequential runs only).
+    /// coverage-guided scheduler (one-worker runs only).
     pub sched_promotions: u64,
 }
 

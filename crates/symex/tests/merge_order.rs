@@ -232,3 +232,44 @@ fn coverage_guided_promotes_unvisited_sites() {
         guided.stats
     );
 }
+
+/// The work counters a one-worker exploration must reproduce exactly.
+fn work_view(report: &Report) -> String {
+    let s = &report.stats;
+    format!(
+        "executed={} merged={} subsumed={} joins={} rejects={} promotions={} \
+         decisions={} snapshots={} fast_forward={}",
+        s.executed_paths,
+        s.merged_paths,
+        s.subsumed_paths,
+        s.join_sites,
+        s.merge_rejects,
+        s.sched_promotions,
+        s.decisions,
+        s.fork_snapshots,
+        s.fast_forward_decisions
+    )
+}
+
+#[test]
+fn explore_mut_matches_explore_under_every_order() {
+    // Both entry points run the same inline worker loop, so every order
+    // reports identically through either — work counters included.
+    for order in [
+        ExploreOrder::Exhaustive,
+        ExploreOrder::CoverageGuided,
+        ExploreOrder::MergeEager,
+    ] {
+        for bench in [fenced_bench, subsumable_bench] {
+            let shared = explorer(order).explore(bench);
+            let mutable = explorer(order).explore_mut(bench);
+            assert_eq!(stable_view(&shared), stable_view(&mutable), "{order:?}");
+            assert_eq!(work_view(&shared), work_view(&mutable), "{order:?}");
+        }
+    }
+    // The loop really merged and really promoted on these benches.
+    let merged = explorer(ExploreOrder::MergeEager).explore_mut(fenced_bench);
+    assert!(merged.stats.merged_paths > 0);
+    let guided = explorer(ExploreOrder::CoverageGuided).explore_mut(fenced_bench);
+    assert!(guided.stats.sched_promotions > 0);
+}

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# The full offline CI gate: formatting, lints, build, tier-1 tests, and
-# (unless skipped) the exploration smokes plus the perf-regression bench
-# gate.
+# The full offline CI gate: formatting, lints, build, tier-1 tests,
+# rustdoc, and (unless skipped) the exploration smokes plus the
+# perf-regression bench gate.
 #
 # Everything runs with `--offline` — the workspace has no crates.io
 # dependencies, so a cold container with only the Rust toolchain must be
@@ -36,6 +36,9 @@ cargo build --offline --release --workspace
 
 echo "==> cargo test (tier-1)"
 cargo test --offline --release --workspace -q
+
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 if [[ "$skip_smokes" -eq 1 ]]; then
   echo "CI gate passed (smokes skipped)."
