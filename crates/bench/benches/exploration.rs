@@ -1,12 +1,11 @@
-//! End-to-end exploration throughput (Table 1 scalability) and the
-//! query-cache ablation at exploration level.
+//! End-to-end exploration throughput (Table 1 scalability).
 //!
 //! Uses T1/T3-shaped workloads on scaled-down PLIC configurations so a
 //! bench iteration stays in the milliseconds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use symsc_plic::PlicConfig;
-use symsc_symex::{Explorer, Width};
+use symsc_symex::Explorer;
 use symsc_testbench::{test_bench, SuiteParams, TestId};
 
 fn scaled(sources: u32) -> PlicConfig {
@@ -46,35 +45,5 @@ fn bench_t3_masking(c: &mut Criterion) {
     });
 }
 
-fn bench_query_cache_ablation(c: &mut Criterion) {
-    // DESIGN.md ablation 5 at the exploration level: forked re-execution
-    // replays identical prefixes, so the cache pays off across paths.
-    let mut group = c.benchmark_group("exploration/query_cache");
-    group.sample_size(10);
-    for cached in [true, false] {
-        let name = if cached { "cached" } else { "uncached" };
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let report = Explorer::new().query_cache(cached).explore(|ctx| {
-                    // A forking ladder: 6 nested two-way decisions.
-                    let x = ctx.symbolic("x", Width::W8);
-                    for bit in 0..6u32 {
-                        let b = x.bit(bit).to_word();
-                        let one = ctx.word(1, Width::W1);
-                        let _ = ctx.decide(&b.eq(&one));
-                    }
-                });
-                assert_eq!(report.stats.paths, 64);
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_t1_scaling,
-    bench_t3_masking,
-    bench_query_cache_ablation
-);
+criterion_group!(benches, bench_t1_scaling, bench_t3_masking);
 criterion_main!(benches);

@@ -3,8 +3,8 @@
 //! The paper observes that "the solver time vastly dominates the overall
 //! execution time in most tests". These benches characterize the solver on
 //! the query shapes the PLIC exploration produces: arithmetic equalities,
-//! range constraints, and the interrupt-selection chain, plus the
-//! whole-query-cache ablation from DESIGN.md.
+//! range constraints, the interrupt-selection chain, and the SAT core on
+//! that chain alone.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use symsc_smt::blast::Blaster;
@@ -129,34 +129,11 @@ fn bench_sat_core_selection(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_query_cache(c: &mut Criterion) {
-    // DESIGN.md ablation 5: the whole-query memo cache. Repeated identical
-    // queries are the common case under forked re-execution.
-    let mut group = c.benchmark_group("solver/query_cache_ablation");
-    for cached in [true, false] {
-        let name = if cached { "cached" } else { "uncached" };
-        group.bench_function(name, |b| {
-            let mut pool = TermPool::new();
-            let q = selection_chain(&mut pool, 16);
-            let mut solver = if cached {
-                Solver::new()
-            } else {
-                Solver::without_cache()
-            };
-            b.iter(|| {
-                assert_eq!(solver.check(&pool, &q), SatResult::Unsat);
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_linear_equation,
     bench_range_unsat,
     bench_selection_chain,
-    bench_sat_core_selection,
-    bench_query_cache
+    bench_sat_core_selection
 );
 criterion_main!(benches);

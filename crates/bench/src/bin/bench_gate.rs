@@ -7,8 +7,8 @@
 //! invocation:
 //!
 //! ```text
-//! bench_gate BENCH_solver_stack.json /tmp/solver_stack.json \
-//!            BENCH_incremental_solve.json /tmp/incremental.json
+//! bench_gate BENCH_cow_fork.json /tmp/cow_fork.json \
+//!            BENCH_path_merge.json /tmp/path_merge.json
 //! ```
 //!
 //! `scripts/bench_gate.sh` regenerates the current emissions at the

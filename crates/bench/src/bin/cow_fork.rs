@@ -21,14 +21,13 @@
 //!    (`fork_snapshots == paths - 1`) and fast-forwarded decisions are
 //!    recorded; under the oracle both counters stay zero.
 //!
-//! Both strategies run with every solver accelerator off — query cache,
-//! layered solver stack, incremental per-path core. Each of those layers
-//! absorbs or amortizes exactly the re-solved prefix work this ablation
-//! measures (the shared cache answers sibling prefix probes; the
-//! incremental context retains learned clauses across them), and each
-//! has its own harness. Accelerator-free runs also make every counter a
-//! pure function of the explored path set — reproducible at any worker
-//! count.
+//! Both strategies run with every solver accelerator off — layered
+//! solver stack, incremental per-path core. Each of those layers absorbs
+//! or amortizes exactly the re-solved prefix work this ablation measures
+//! (the shared counterexample cache answers sibling prefix slices; the
+//! incremental context retains learned clauses across them).
+//! Accelerator-free runs also make every counter a pure function of the
+//! explored path set — reproducible at any worker count.
 //!
 //! Exits nonzero on any violation. With `--emit FILE`, writes the
 //! measured counters as JSON (the `BENCH_cow_fork.json` trajectory
@@ -89,7 +88,6 @@ struct RunResult {
 fn run<F: Fn(&SymCtx) + Sync>(bench: &F, fork: ForkStrategy, workers: usize) -> RunResult {
     let start = Instant::now();
     let report = Explorer::new()
-        .query_cache(false)
         .solver_stack(false)
         .incremental(false)
         .fork_strategy(fork)

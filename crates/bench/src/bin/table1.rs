@@ -78,12 +78,11 @@ fn main() {
         table.row(&outcome.table_row());
         let s = &outcome.report.stats.solver;
         stack_lines.push(format!(
-            "  {}: {} queries | {} cache hits | {} slices | {} slice hits | \
+            "  {}: {} queries | {} slices | {} slice hits | \
              {} subset-unsat | {} model reuse | {} focus skips | {} core calls \
              | {:.1}% above core",
             test.name(),
             s.queries,
-            s.cache_hits,
             s.slices,
             s.slice_hits,
             s.cex_subset_hits,

@@ -267,12 +267,12 @@ mod tests {
     #[test]
     fn parses_the_harness_shapes() {
         let doc = parse(
-            "{\n  \"harness\": \"solver_stack\",\n  \"sources\": 32,\n  \
+            "{\n  \"harness\": \"cow_fork\",\n  \"sources\": 32,\n  \
              \"equivalent\": true,\n  \"rate\": 0.7209,\n  \
              \"workloads\": [{\"name\": \"t1\", \"paths\": 32}]\n}\n",
         )
         .unwrap();
-        assert_eq!(doc.get("harness").unwrap().as_str(), Some("solver_stack"));
+        assert_eq!(doc.get("harness").unwrap().as_str(), Some("cow_fork"));
         assert_eq!(doc.get("sources").unwrap().as_f64(), Some(32.0));
         assert_eq!(doc.get("equivalent").unwrap().as_bool(), Some(true));
         assert_eq!(doc.get("rate").unwrap().as_f64(), Some(0.7209));
@@ -300,9 +300,7 @@ mod tests {
     #[test]
     fn parses_the_committed_baseline_if_present() {
         for name in [
-            "../../BENCH_solver_stack.json",
             "../../BENCH_mutation_kill.json",
-            "../../BENCH_incremental_solve.json",
             "../../BENCH_fuzz_kill.json",
             "../../BENCH_fuzz_smoke.json",
             "../../BENCH_fuzz_diff.json",

@@ -9,10 +9,10 @@
 //! * `baseline_compare` — symbolic execution vs. random testing
 //!   time-to-bug (the reproduction's substitute for the paper's
 //!   unreproducible KLEE-on-SystemC-kernel baseline).
-//! * `solver_stack` / `incremental_speedup` / `cow_fork` — ablation
-//!   harnesses for the cache layers, the incremental per-path SAT
-//!   context, and the copy-on-write snapshot fork engine (vs. the
-//!   re-execution oracle).
+//! * `cow_fork` — ablation harness for the copy-on-write snapshot fork
+//!   engine (vs. the re-execution oracle).
+//! * `sat_diag` — SAT-core counters and propagation rate on the PLIC
+//!   selection chain.
 //! * `path_merge` — ablation harness for state merging, subsumption
 //!   pruning and heuristic path scheduling on the full 51-source FE310
 //!   (every exploration order vs. the exhaustive oracle).
@@ -23,8 +23,15 @@
 //! * `cross_check` — the cross-level equivalence kill matrix: every
 //!   mutant injected into the cycle-level PLIC and checked against the
 //!   fixed TLM model, and vice versa.
+//! * `fuzz_kill` / `fuzz_diff` — the differential-fuzzing kill matrix
+//!   and the fuzz-vs-symbolic coverage diff with seed exchange.
 //! * `bench_gate` — compares fresh harness emissions against the
 //!   committed `BENCH_*.json` baselines and fails on regressions.
+//!
+//! The solver-stack and incremental-core invariants those harnesses
+//! once printed (exact counters, byte-identical reports at 1, 2 and 8
+//! workers) are pinned by `tests/solver_configs.rs`; timing belongs to
+//! the repository benchmark (`perfbench/`).
 //!
 //! Criterion benches (`cargo bench -p symsc-bench`): `solver`, `kernel`,
 //! `sim_time`, `exploration` — performance characteristics and the

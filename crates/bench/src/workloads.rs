@@ -1,8 +1,8 @@
-//! Shared exploration workloads for the bench binaries.
+//! Shared exploration workloads for the bench binaries and tests.
 //!
-//! The bins (`parallel_speedup`, `solver_stack`) must measure the *same*
-//! testbenches so their numbers compose; the testbench closures live here
-//! rather than being copied per binary.
+//! The harnesses (`cow_fork`, `path_merge`) and the solver-configuration
+//! tests must exercise the *same* testbenches so their numbers compose;
+//! the testbench closures live here rather than being copied per user.
 
 use symsc_pk::Kernel;
 use symsc_plic::{Plic, PlicConfig, PlicVariant};
@@ -58,7 +58,7 @@ pub fn t1_pattern(cfg: PlicConfig) -> impl Fn(&SymCtx) + Send + Sync {
         let n = ctx.word32(cfg.sources);
         ctx.assume(&i.uge(&one));
         ctx.assume(&i.ule(&n));
-        // The same guard query on every path: the shared cache absorbs it.
+        // The same guard query on every path: the slice cache absorbs it.
         ctx.check(&i.ule(&n), "id in range");
 
         plic.trigger_interrupt(ctx, &mut kernel, &i);

@@ -91,12 +91,6 @@ impl Verifier {
         self
     }
 
-    /// Toggles the solver's whole-query cache (for ablations).
-    pub fn query_cache(mut self, enabled: bool) -> Verifier {
-        self.explorer = self.explorer.query_cache(enabled);
-        self
-    }
-
     /// Toggles the layered solver stack's cache layers (counterexample
     /// cache and model-reuse witnesses; for ablations). Reports are
     /// identical either way — only solve time and layer statistics change.

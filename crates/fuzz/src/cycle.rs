@@ -144,13 +144,16 @@ pub fn run_cycle_input(config: PlicConfig, bytes: &[u8]) -> InputOutcome {
 /// cross-level probe: every distinct counterexample model (a concrete
 /// input on which the mutated cycle model diverges from the clean TLM
 /// model) is encoded as a byte input. The cycle-lane analog of
-/// [`crate::exchange::seeds_from_symbolic`].
+/// [`crate::exchange::seeds_from_symbolic`], and like it explored on one
+/// worker: probes run inside campaign queue workers, which already use
+/// every hardware thread.
 pub fn seeds_from_cycle_symbolic(
     config: PlicConfig,
     pins: &[OpPin],
     max_paths: u64,
 ) -> Vec<Vec<u8>> {
     let report = Explorer::new()
+        .workers(1)
         .max_paths(max_paths)
         .explore(scripted_cycle_bench(config, pins.to_vec()));
     let mut seen: std::collections::BTreeSet<Vec<u8>> = std::collections::BTreeSet::new();

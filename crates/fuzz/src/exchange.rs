@@ -25,8 +25,13 @@ use crate::harness::{differential_bench, op, scripted_bench, OpPin};
 /// Harvests fuzz seeds from a bounded symbolic exploration of the probe
 /// described by `pins`: every distinct counterexample model is encoded
 /// as a byte input. Deduplicated, in discovery order.
+///
+/// The exploration runs on one worker: probes run inside campaign queue
+/// workers, which already use every hardware thread, and one worker
+/// makes the probe's solver counts independent of scheduling.
 pub fn seeds_from_symbolic(config: PlicConfig, pins: &[OpPin], max_paths: u64) -> Vec<Vec<u8>> {
     let report = Explorer::new()
+        .workers(1)
         .max_paths(max_paths)
         .explore(scripted_bench(config, pins.to_vec()));
     let mut seen: BTreeSet<Vec<u8>> = BTreeSet::new();

@@ -1,9 +1,8 @@
 //! The slice-granular counterexample cache — the middle layer of the
 //! solver stack.
 //!
-//! Where the [`QueryCache`](crate::solver::QueryCache) memoizes *whole*
-//! queries, this cache stores the canonical result of every independent
-//! *slice* (connected component of the constraint graph) the SAT core has
+//! This cache stores the canonical result of every independent *slice*
+//! (connected component of the constraint graph) the SAT core has
 //! decided, and supports two kinds of cross-query reasoning over sorted
 //! fingerprint keys:
 //!
@@ -20,8 +19,7 @@
 //! of the *minimum* element of each candidate keeps buckets small while
 //! still finding every stored subset whose minimum is in `K`.
 //!
-//! Like the query cache, entries are keyed on structural fingerprints, so
-//! one `CexCache` is shared across per-worker term pools. Exact-key hits
+//! Entries are keyed on structural fingerprints, so one `CexCache` is shared across per-worker term pools. Exact-key hits
 //! return the canonical per-slice result the SAT core produced, which is
 //! what keeps sliced model stitching bit-for-bit deterministic at any
 //! worker count. Subset reasoning is only ever used where a verdict (not a

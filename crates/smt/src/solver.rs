@@ -6,13 +6,12 @@
 //! ```text
 //!   Solver::check / check_feasible
 //!     1. constant filtering + fingerprint canonicalization   (trivial)
-//!     2. whole-query memo cache                              (QueryCache)
-//!     3. independence slicing: partition into connected
+//!     2. independence slicing: partition into connected
 //!        components by variable support; focused feasibility
 //!        checks solve only the focus component               (slicing)
-//!     4. per-slice counterexample cache: exact hit,
+//!     3. per-slice counterexample cache: exact hit,
 //!        subset-UNSAT proof, cached-model witness            (CexCache)
-//!     5. bit-blast + CDCL                                    (SAT core)
+//!     4. bit-blast + CDCL                                    (SAT core)
 //! ```
 //!
 //! # Determinism contract
@@ -27,17 +26,16 @@
 //!   canonical models of its independent slices (solved in fingerprint
 //!   order, each by the deterministic SAT core). Slicing is therefore not
 //!   an optional optimization but part of the decision procedure itself;
-//!   enabling or disabling the cache layers cannot change any model.
-//! - Cache hits (whole-query or per-slice) return exactly the canonical
-//!   result a fresh solve would compute, so shared caches are
-//!   semantically invisible.
+//!   enabling or disabling the cache layer cannot change any model.
+//! - Exact slice hits return exactly the canonical result a fresh solve
+//!   would compute, so a shared counterexample cache is semantically
+//!   invisible.
 //! - Subset-UNSAT proofs and reused-model witnesses can depend on cache
 //!   *contents* (which vary with timing across workers), so they are only
 //!   used where a verdict — never a model — is reported:
 //!   [`Solver::check_feasible`]. Verdicts are unique, hence pure.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::blast::Blaster;
@@ -76,18 +74,16 @@ impl SatResult {
 /// with per-layer hit and time counters for the query stack.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Total queries issued (including cache hits and trivially-decided).
+    /// Total queries issued (including trivially-decided ones).
     pub queries: u64,
     /// Queries answered satisfiable.
     pub sat: u64,
     /// Queries answered unsatisfiable.
     pub unsat: u64,
-    /// Queries answered from the whole-query cache.
+    /// Always zero: the whole-query cache this counted is gone. Kept
+    /// only because the repository benchmark still reports it as
+    /// `smt.cache_hits`; the next change to the benchmark drops both.
     pub cache_hits: u64,
-    /// Non-trivial queries that missed the whole-query cache (zero when
-    /// the cache is disabled — misses are only counted when a cache was
-    /// actually consulted).
-    pub cache_misses: u64,
     /// Queries decided without reaching the SAT core (constant folding).
     pub trivial: u64,
     /// Wall-clock time spent inside `check`/`check_feasible` end to end.
@@ -103,8 +99,8 @@ pub struct SolverStats {
     /// Slices skipped outright by focused feasibility checks (their
     /// satisfiability was implied by the feasible base).
     pub focus_skips: u64,
-    /// Cache-missed queries fully answered by the slice layers — i.e.
-    /// answered above the SAT core without a whole-query cache hit.
+    /// Non-trivial queries fully answered by the slice layers, i.e.
+    /// answered above the SAT core.
     pub sliced_hits: u64,
     /// Invocations of the bit-blast + CDCL core (one per solved slice).
     pub sat_core_calls: u64,
@@ -119,7 +115,8 @@ pub struct SolverStats {
     /// and incremental alike) — the work metric the incremental layer is
     /// meant to reduce.
     pub sat_conflicts: u64,
-    /// Entries evicted from the bounded caches by this solver's inserts.
+    /// Entries evicted from the bounded counterexample cache by this
+    /// solver's inserts.
     pub evictions: u64,
     /// Implication queries issued through [`Solver::check_implied`]
     /// (subsumption probes from the state-merging engine).
@@ -137,8 +134,6 @@ impl SolverStats {
         self.queries += other.queries;
         self.sat += other.sat;
         self.unsat += other.unsat;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
         self.trivial += other.trivial;
         self.solve_time += other.solve_time;
         self.slices += other.slices;
@@ -163,10 +158,10 @@ impl SolverStats {
         self.queries - self.trivial
     }
 
-    /// Queries answered above the SAT core: whole-query cache hits plus
-    /// queries the slice layers answered outright.
+    /// Queries answered above the SAT core: those the slice layers
+    /// answered outright.
     pub fn answered_above_core(&self) -> u64 {
-        self.cache_hits + self.sliced_hits
+        self.sliced_hits
     }
 
     /// Fraction of non-trivial queries answered above the SAT core.
@@ -179,132 +174,21 @@ impl SolverStats {
     }
 }
 
-const CACHE_SHARDS: usize = 16;
-/// Default per-shard capacity of the whole-query cache (16 shards).
-const DEFAULT_QUERY_SHARD_CAPACITY: usize = 4096;
-
-/// One bounded shard: the memo map plus FIFO insertion order.
-#[derive(Debug, Default)]
-struct QueryShard {
-    map: HashMap<Vec<u128>, SatResult>,
-    order: std::collections::VecDeque<Vec<u128>>,
-}
-
-/// A sharded, thread-safe, bounded memo cache of whole solver queries.
-///
-/// Keys are the sorted structural fingerprints of the constraint set
-/// ([`TermPool::fingerprint`]), so a key names the same logical query in
-/// *any* pool: one `QueryCache` can be shared between solvers working over
-/// different (per-worker) pools, which is exactly what the parallel
-/// explorer does via [`Solver::with_shared_cache`].
-///
-/// Sharing is semantically transparent. Constraint sets are sliced and
-/// blasted in fingerprint order and the SAT core is deterministic, so the
-/// model a cache hit returns is bit-for-bit the model a fresh solve would
-/// have produced.
-///
-/// Each shard holds at most a fixed number of entries; when full, the
-/// oldest entry (FIFO) is evicted. Eviction order depends only on the
-/// sequence of inserts, and because cached results equal fresh solves,
-/// cache contents can never affect results — only speed.
-#[derive(Debug)]
-pub struct QueryCache {
-    shards: [Mutex<QueryShard>; CACHE_SHARDS],
-    capacity: usize,
-}
-
-impl Default for QueryCache {
-    fn default() -> QueryCache {
-        QueryCache::new()
-    }
-}
-
-impl QueryCache {
-    /// Creates an empty cache with the default per-shard capacity.
-    pub fn new() -> QueryCache {
-        QueryCache::with_capacity(DEFAULT_QUERY_SHARD_CAPACITY)
-    }
-
-    /// Creates an empty cache holding at most `per_shard` entries per
-    /// shard (FIFO eviction).
-    pub fn with_capacity(per_shard: usize) -> QueryCache {
-        QueryCache {
-            shards: std::array::from_fn(|_| Mutex::new(QueryShard::default())),
-            capacity: per_shard.max(1),
-        }
-    }
-
-    fn shard(&self, key: &[u128]) -> &Mutex<QueryShard> {
-        // Cheap deterministic fold of the key into a shard index. The
-        // fingerprints themselves are already well-mixed hashes.
-        let folded = key
-            .iter()
-            .fold(0u64, |acc, fp| acc.rotate_left(7) ^ (*fp as u64));
-        &self.shards[(folded as usize) % CACHE_SHARDS]
-    }
-
-    fn lock_shard(&self, key: &[u128]) -> MutexGuard<'_, QueryShard> {
-        // A panic while holding the guard cannot leave the map in an
-        // inconsistent state (plain HashMap ops), so poisoning is benign.
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Looks up a normalized key.
-    pub fn lookup(&self, key: &[u128]) -> Option<SatResult> {
-        self.lock_shard(key).map.get(key).cloned()
-    }
-
-    /// Stores a result under a normalized key, evicting the shard's
-    /// oldest entry if it is full. Returns the number of evictions (0/1).
-    pub fn insert(&self, key: Vec<u128>, result: SatResult) -> u64 {
-        let mut shard = self.lock_shard(&key);
-        if shard.map.contains_key(&key) {
-            return 0;
-        }
-        let mut evicted = 0;
-        if shard.map.len() >= self.capacity {
-            if let Some(old) = shard.order.pop_front() {
-                shard.map.remove(&old);
-                evicted = 1;
-            }
-        }
-        shard.order.push_back(key.clone());
-        shard.map.insert(key, result);
-        evicted
-    }
-
-    /// Number of cached queries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len())
-            .sum()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// How many cached subset models a feasibility check will evaluate as
 /// candidate witnesses before giving up and bit-blasting.
 const MODEL_REUSE_CANDIDATES: usize = 4;
 
 /// A stateless-per-query SMT solver with the layered query stack.
 ///
-/// Caches are keyed on sorted *structural fingerprints*, which identify a
-/// query independently of the pool that interned it. A solver can keep
-/// private caches ([`Solver::new`]) or share them with other solvers over
-/// other pools ([`Solver::with_stack`]) — the parallel explorer shares one
-/// query cache and one counterexample cache across all workers so sibling
-/// paths stop re-solving identical queries and slices.
+/// The counterexample cache is keyed on sorted *structural fingerprints*,
+/// which identify a slice independently of the pool that interned it. A
+/// solver can keep a private cache ([`Solver::new`]) or share one with
+/// other solvers over other pools ([`Solver::with_stack`]) — the parallel
+/// explorer shares one counterexample cache across all workers so sibling
+/// paths stop re-solving identical slices.
 #[derive(Debug)]
 pub struct Solver {
     stats: SolverStats,
-    cache: Option<Arc<QueryCache>>,
     cex: Option<Arc<CexCache>>,
     model_reuse: bool,
     incremental: bool,
@@ -321,40 +205,27 @@ impl Default for Solver {
 }
 
 impl Solver {
-    /// Creates a solver with the full stack and fresh private caches.
+    /// Creates a solver with the full stack and a fresh private
+    /// counterexample cache.
     pub fn new() -> Solver {
-        Solver::with_stack(
-            Some(Arc::new(QueryCache::new())),
-            Some(Arc::new(CexCache::new())),
-            true,
-        )
+        Solver::with_stack(Some(Arc::new(CexCache::new())), true)
     }
 
-    /// Creates a solver with every cache layer disabled (ablation /
-    /// benchmarks): all queries go through slicing straight to the core.
+    /// Creates a solver with the cache layer disabled — the flat
+    /// reference the layered stack is checked against: all queries go
+    /// through slicing straight to the core.
     pub fn without_cache() -> Solver {
-        Solver::with_stack(None, None, false)
+        Solver::with_stack(None, false)
     }
 
-    /// Creates a solver whose whole-query cache is an existing (possibly
-    /// shared) one, with a private counterexample cache.
-    pub fn with_shared_cache(cache: Arc<QueryCache>) -> Solver {
-        Solver::with_stack(Some(cache), Some(Arc::new(CexCache::new())), true)
-    }
-
-    /// Creates a solver with an explicit layer configuration: `cache` is
-    /// the whole-query memo layer, `cex` the per-slice counterexample
-    /// cache, `model_reuse` enables cached-model witnesses in
-    /// [`check_feasible`](Solver::check_feasible) (it has no effect
-    /// without `cex`). Any `Arc` may be shared across solvers/threads.
-    pub fn with_stack(
-        cache: Option<Arc<QueryCache>>,
-        cex: Option<Arc<CexCache>>,
-        model_reuse: bool,
-    ) -> Solver {
+    /// Creates a solver with an explicit layer configuration: `cex` is the
+    /// per-slice counterexample cache, `model_reuse` enables cached-model
+    /// witnesses in [`check_feasible`](Solver::check_feasible) (it has no
+    /// effect without `cex`). The `Arc` may be shared across
+    /// solvers/threads.
+    pub fn with_stack(cex: Option<Arc<CexCache>>, model_reuse: bool) -> Solver {
         Solver {
             stats: SolverStats::default(),
-            cache,
             cex,
             model_reuse,
             incremental: true,
@@ -384,11 +255,6 @@ impl Solver {
     /// path-local — this is what keeps the parallel merge deterministic.
     pub fn begin_path(&mut self) {
         self.ctx = None;
-    }
-
-    /// The whole-query cache backing this solver, if enabled.
-    pub fn cache(&self) -> Option<&Arc<QueryCache>> {
-        self.cache.as_ref()
     }
 
     /// The counterexample cache backing this solver, if enabled.
@@ -442,21 +308,6 @@ impl Solver {
             self.stats.solve_time += start.elapsed();
             return SatResult::Sat(Model::new());
         }
-        let key: Vec<u128> = entries.iter().map(|&(fp, _)| fp).collect();
-
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.lookup(&key) {
-                self.stats.cache_hits += 1;
-                match hit {
-                    SatResult::Sat(_) => self.stats.sat += 1,
-                    SatResult::Unsat => self.stats.unsat += 1,
-                }
-                self.stats.solve_time += start.elapsed();
-                return hit;
-            }
-            self.stats.cache_misses += 1;
-        }
-
         let core_before = self.stats.sat_core_calls;
         let result = self.solve_sliced(pool, &entries, focus);
         if self.stats.sat_core_calls == core_before {
@@ -465,9 +316,6 @@ impl Solver {
         match &result {
             SatResult::Sat(_) => self.stats.sat += 1,
             SatResult::Unsat => self.stats.unsat += 1,
-        }
-        if let Some(cache) = &self.cache {
-            self.stats.evictions += cache.insert(key, result.clone());
         }
         self.stats.solve_time += start.elapsed();
         result
@@ -524,23 +372,6 @@ impl Solver {
             self.stats.solve_time += start.elapsed();
             return true;
         }
-        let key: Vec<u128> = entries.iter().map(|&(fp, _)| fp).collect();
-
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.lookup(&key) {
-                self.stats.cache_hits += 1;
-                let sat = hit.is_sat();
-                if sat {
-                    self.stats.sat += 1;
-                } else {
-                    self.stats.unsat += 1;
-                }
-                self.stats.solve_time += start.elapsed();
-                return sat;
-            }
-            self.stats.cache_misses += 1;
-        }
-
         let t_slice = Instant::now();
         let slices = partition(pool, &entries);
         self.stats.slicing_time += t_slice.elapsed();
@@ -566,11 +397,6 @@ impl Solver {
             self.stats.sat += 1;
         } else {
             self.stats.unsat += 1;
-            // An UNSAT verdict is the whole query's canonical answer
-            // (no model involved), so it may seed the whole-query cache.
-            if let Some(cache) = &self.cache {
-                self.stats.evictions += cache.insert(key, SatResult::Unsat);
-            }
         }
         self.stats.solve_time += start.elapsed();
         sat
@@ -611,7 +437,7 @@ impl Solver {
     /// Constant-filters and canonicalizes a constraint set: sorted by
     /// structural fingerprint, duplicates removed. Returns `None` if a
     /// constant-false constraint makes the set trivially UNSAT. The
-    /// fingerprint list is the cache key; the id list in the same order is
+    /// fingerprint list names the query; the id list in the same order is
     /// the blast order, so the SAT instance (and hence the returned model)
     /// is a function of the constraint structure alone.
     fn canonicalize(
@@ -773,9 +599,9 @@ impl Solver {
     /// the bit-blasted CNF from every earlier probe on this path.
     ///
     /// Sits below the cex layers, exactly where the fresh core sits. On
-    /// UNSAT, the focus slice's key is seeded into the caches: with the
-    /// base feasible (the caller's precondition) and the whole set UNSAT,
-    /// the focus slice must itself be UNSAT — slices are
+    /// UNSAT, the focus slice's key is seeded into the counterexample
+    /// cache: with the base feasible (the caller's precondition) and the
+    /// whole set UNSAT, the focus slice must itself be UNSAT — slices are
     /// variable-disjoint — and an UNSAT verdict is canonical. A SAT
     /// answer caches nothing: the witness assignment depends on solver
     /// history, and only canonical results may be shared.
@@ -1014,7 +840,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_are_counted() {
+    fn a_repeated_query_is_answered_by_the_slice_layer() {
         let mut pool = TermPool::new();
         let x = pool.var("x", Width::W8);
         let one = pool.constant(1, Width::W8);
@@ -1023,12 +849,14 @@ mod tests {
         let r1 = s.check(&pool, &[c]);
         let r2 = s.check(&pool, &[c]);
         assert_eq!(r1, r2);
-        assert_eq!(s.stats().cache_hits, 1);
-        assert_eq!(s.stats().cache_misses, 1);
+        assert_eq!(s.stats().slice_hits, 1);
+        assert_eq!(s.stats().sliced_hits, 1);
+        assert_eq!(s.stats().sat_core_calls, 1);
+        assert_eq!(s.stats().cache_hits, 0);
     }
 
     #[test]
-    fn hit_miss_trivial_counters_add_up() {
+    fn sliced_core_and_trivial_counters_add_up() {
         let mut pool = TermPool::new();
         let x = pool.var("x", Width::W8);
         let one = pool.constant(1, Width::W8);
@@ -1037,26 +865,27 @@ mod tests {
         let c2 = pool.eq(x, two);
         let t = pool.tru();
         let mut s = Solver::new();
-        let _ = s.check(&pool, &[c1]); // miss
-        let _ = s.check(&pool, &[c1]); // hit
-        let _ = s.check(&pool, &[c2]); // miss
-        let _ = s.check(&pool, &[c1, c2]); // miss (different set)
+        let _ = s.check(&pool, &[c1]); // core
+        let _ = s.check(&pool, &[c1]); // slice hit
+        let _ = s.check(&pool, &[c2]); // core
+        let _ = s.check(&pool, &[c1, c2]); // core (one slice over x)
         let _ = s.check(&pool, &[t]); // trivial
         let _ = s.check(&pool, &[]); // trivial
         let stats = s.stats();
         assert_eq!(stats.queries, 6);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.cache_misses, 3);
         assert_eq!(stats.trivial, 2);
+        assert_eq!(stats.sliced_hits, 1);
+        assert_eq!(stats.sat_core_calls, 3);
         assert_eq!(
             stats.queries,
-            stats.cache_hits + stats.cache_misses + stats.trivial,
-            "every query is exactly one of hit/miss/trivial"
+            stats.sliced_hits + stats.sat_core_calls + stats.trivial,
+            "every single-slice query is exactly one of sliced/core/trivial"
         );
+        assert_eq!(stats.above_core_rate(), 0.25);
     }
 
     #[test]
-    fn without_cache_counts_no_hits_or_misses() {
+    fn without_cache_resolves_every_query() {
         let mut pool = TermPool::new();
         let x = pool.var("x", Width::W8);
         let one = pool.constant(1, Width::W8);
@@ -1065,22 +894,23 @@ mod tests {
         let r1 = s.check(&pool, &[c]);
         let r2 = s.check(&pool, &[c]);
         assert_eq!(r1, r2);
-        assert_eq!(s.stats().cache_hits, 0);
-        assert_eq!(s.stats().cache_misses, 0);
+        assert_eq!(s.stats().sat_core_calls, 2);
+        assert_eq!(s.stats().slice_hits, 0);
+        assert_eq!(s.stats().sliced_hits, 0);
     }
 
     #[test]
-    fn shared_cache_spans_pools_and_solvers() {
+    fn shared_cex_cache_spans_pools_and_solvers() {
         // Build the same structural query in two unrelated pools; the
-        // second solver must hit the entry the first one stored, and the
+        // second solver must hit the slice the first one stored, and the
         // models must agree exactly.
-        let cache = Arc::new(QueryCache::new());
+        let cex = Arc::new(CexCache::new());
 
         let mut pool_a = TermPool::new();
         let xa = pool_a.var("x", Width::W16);
         let ka = pool_a.constant(1234, Width::W16);
         let ca = pool_a.eq(xa, ka);
-        let mut solver_a = Solver::with_shared_cache(Arc::clone(&cache));
+        let mut solver_a = Solver::with_stack(Some(Arc::clone(&cex)), true);
         let ra = solver_a.check(&pool_a, &[ca]);
 
         let mut pool_b = TermPool::new();
@@ -1090,18 +920,19 @@ mod tests {
         let kb = pool_b.constant(1234, Width::W16);
         let xb = pool_b.var("x", Width::W16);
         let cb = pool_b.eq(xb, kb);
-        let mut solver_b = Solver::with_shared_cache(Arc::clone(&cache));
+        let mut solver_b = Solver::with_stack(Some(Arc::clone(&cex)), true);
         let rb = solver_b.check(&pool_b, &[cb]);
 
         assert_eq!(ra, rb, "same structure, same verdict and model");
-        assert_eq!(solver_a.stats().cache_misses, 1);
-        assert_eq!(solver_b.stats().cache_hits, 1);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(solver_a.stats().sat_core_calls, 1);
+        assert_eq!(solver_b.stats().slice_hits, 1);
+        assert_eq!(solver_b.stats().sat_core_calls, 0);
+        assert_eq!(cex.len(), 1);
     }
 
     #[test]
     fn models_identical_between_cached_and_fresh_solves() {
-        // The cache must be semantically transparent: a hit returns
+        // The slice cache must be semantically transparent: a hit returns
         // exactly what a fresh solve would compute.
         let mut pool = TermPool::new();
         let x = pool.var("x", Width::W8);
@@ -1256,8 +1087,8 @@ mod tests {
     #[test]
     fn slice_cache_hits_across_different_whole_queries() {
         // The x-slice repeats across two queries whose y-slices differ:
-        // the whole-query cache misses both times, but the slice layer
-        // answers the x-slice from the counterexample cache.
+        // the slice layer answers the x-slice from the counterexample
+        // cache.
         let mut pool = TermPool::new();
         let x = pool.var("x", Width::W8);
         let y = pool.var("y", Width::W8);
@@ -1272,7 +1103,6 @@ mod tests {
         let r1 = s.check(&pool, &[cx, cy1]);
         let r2 = s.check(&pool, &[cx, cy2]);
         assert!(r1.is_sat() && r2.is_sat());
-        assert_eq!(s.stats().cache_hits, 0, "whole-query keys differ");
         assert_eq!(s.stats().slice_hits, 1, "x-slice reused");
         assert_eq!(s.stats().sat_core_calls, 3, "x once, each y once");
         // The reused slice model stitches identically to a fresh solve.
@@ -1368,10 +1198,10 @@ mod tests {
     }
 
     #[test]
-    fn bounded_query_cache_evicts_fifo_and_counts() {
+    fn bounded_cex_cache_evicts_and_counts() {
         let mut pool = TermPool::new();
         let x = pool.var("x", Width::W8);
-        let mut s = Solver::with_stack(Some(Arc::new(QueryCache::with_capacity(1))), None, false);
+        let mut s = Solver::with_stack(Some(Arc::new(CexCache::with_capacity(1))), false);
         // Enough distinct single-constraint queries to overflow every
         // 1-entry shard and force evictions.
         for v in 0..64 {

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use symsc_rng::Rng;
 use symsc_smt::eval::evaluate;
-use symsc_smt::{CexCache, QueryCache, SatResult, Solver, TermId, TermPool, Width};
+use symsc_smt::{CexCache, SatResult, Solver, TermId, TermPool, Width};
 
 const W: Width = Width::W8;
 const SEED: u64 = 0x51_1CE5;
@@ -158,17 +158,17 @@ fn layered_and_flat_agree_on_verdicts_and_models() {
         .collect();
     assert_eq!(baseline, first, "stack on vs off: identical results");
     // The multi-variable corpus must actually exercise the slice layers:
-    // only cache-missed queries are partitioned (one slice minimum each),
-    // so more slices than misses means some set split into several.
+    // every non-trivial query is partitioned (one slice minimum each), so
+    // more slices than such queries means some set split into several.
     let stats = layered.stats();
-    assert!(stats.slices > stats.cache_misses, "sets split into slices");
+    assert!(stats.slices > stats.non_trivial(), "sets split into slices");
     assert!(
         stats.slice_hits + stats.cex_subset_hits > 0,
         "slice-level reuse occurred: {stats:?}"
     );
 
-    // A second replay answers everything from the caches — and still
-    // returns the same models.
+    // A second replay answers everything from the counterexample cache —
+    // and still returns the same models.
     let core_before = layered.stats().sat_core_calls;
     let second: Vec<EntryResult> = sets
         .iter()
@@ -180,8 +180,8 @@ fn layered_and_flat_agree_on_verdicts_and_models() {
 
 #[test]
 fn shared_stack_is_order_independent_across_solvers() {
-    // Eight "workers": solvers sharing one query cache + one cex cache,
-    // each replaying the corpus in a different seeded permutation. Every
+    // Eight "workers": solvers sharing one counterexample cache, each
+    // replaying the corpus in a different seeded permutation. Every
     // result must equal the flat baseline regardless of who populated
     // which cache entry first.
     let mut flat_pool = TermPool::new();
@@ -192,7 +192,6 @@ fn shared_stack_is_order_independent_across_solvers() {
         .map(|(set, _)| solve_entry(&mut flat_pool, &mut flat, set))
         .collect();
 
-    let query = Arc::new(QueryCache::new());
     let cex = Arc::new(CexCache::new());
     let mut rng = Rng::seed_from_u64(SEED ^ 0xFF);
     for worker in 0..8 {
@@ -202,7 +201,7 @@ fn shared_stack_is_order_independent_across_solvers() {
             let j = rng.gen_range_inclusive(0, i as u64) as usize;
             order.swap(i, j);
         }
-        let mut solver = Solver::with_stack(Some(Arc::clone(&query)), Some(Arc::clone(&cex)), true);
+        let mut solver = Solver::with_stack(Some(Arc::clone(&cex)), true);
         for (i, result) in replay_in_order(&mut solver, &order) {
             assert_eq!(
                 baseline[i], result,

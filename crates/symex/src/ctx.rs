@@ -113,9 +113,9 @@ pub(crate) struct EngineState {
 
 impl EngineState {
     /// A fresh engine state around a pre-configured `solver`. Parallel
-    /// workers receive solvers built over clones of one shared cache
-    /// stack, so a query or slice solved on any worker is a hit on every
-    /// other.
+    /// workers receive solvers built over clones of one shared
+    /// counterexample cache, so a slice solved on any worker is a hit on
+    /// every other.
     pub(crate) fn new(max_path_decisions: u64, solver: Solver, cow: bool) -> EngineState {
         EngineState {
             pool: TermPool::new(),

@@ -10,10 +10,10 @@
 //! inline on the calling thread, which is exactly depth-first
 //! visitation; with more, it runs on that many threads, any of which may
 //! resume a snapshot forked on another. Workers keep private term pools
-//! and solvers but share one whole-query solver cache, so a feasibility
-//! query solved on any worker is a cache hit on every other. Path records
-//! are assembled into canonical (depth-first) order, so the report is
-//! independent of scheduling.
+//! and solvers but share one counterexample cache, so a slice solved on
+//! any worker is a cache hit on every other. Path records are assembled
+//! into canonical (depth-first) order, so the report is independent of
+//! scheduling.
 //!
 //! The original forked *re-execution* engine — prefixes re-solved from
 //! scratch — remains available via [`ForkStrategy::Reexec`] as the
@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::time::{Duration, Instant};
 
-use symsc_smt::{CexCache, QueryCache, Solver};
+use symsc_smt::{CexCache, Solver};
 
 use crate::ctx::{EngineState, PathTerm, SymCtx};
 use crate::error::{Counterexample, ErrorKind, Report};
@@ -82,7 +82,7 @@ pub enum ForkStrategy {
 ///
 /// The closure is executed once per path. With one worker, all paths share
 /// one term pool and one solver; with several, each worker keeps its own
-/// pool and solver but all share one whole-query cache.
+/// pool and solver but all share one counterexample cache.
 ///
 /// # Example
 ///
@@ -107,7 +107,6 @@ pub struct Explorer {
     max_paths: u64,
     max_path_decisions: u64,
     timeout: Option<Duration>,
-    query_cache: bool,
     solver_stack: bool,
     incremental: bool,
     fork: ForkStrategy,
@@ -116,11 +115,10 @@ pub struct Explorer {
 }
 
 /// The cache stack one exploration's solvers are built over. Parallel
-/// workers all clone the same handles, so a query or slice solved on any
-/// worker is a hit on every other — semantically invisible either way,
-/// since cached results are bit-for-bit what a fresh solve computes.
+/// workers all clone the same handle, so a slice solved on any worker is
+/// a hit on every other — semantically invisible either way, since
+/// cached results are bit-for-bit what a fresh solve computes.
 struct SolverSetup {
-    query: Option<Arc<QueryCache>>,
     cex: Option<Arc<CexCache>>,
     model_reuse: bool,
     incremental: bool,
@@ -128,8 +126,7 @@ struct SolverSetup {
 
 impl SolverSetup {
     fn build(&self) -> Solver {
-        Solver::with_stack(self.query.clone(), self.cex.clone(), self.model_reuse)
-            .with_incremental(self.incremental)
+        Solver::with_stack(self.cex.clone(), self.model_reuse).with_incremental(self.incremental)
     }
 }
 
@@ -141,14 +138,13 @@ impl Default for Explorer {
 
 impl Explorer {
     /// An explorer with default budgets (1 million paths, 100k decisions
-    /// per path, no timeout, query cache on, one worker per available
+    /// per path, no timeout, full solver stack, one worker per available
     /// hardware thread).
     pub fn new() -> Explorer {
         Explorer {
             max_paths: 1_000_000,
             max_path_decisions: 100_000,
             timeout: None,
-            query_cache: true,
             solver_stack: true,
             incremental: true,
             fork: ForkStrategy::CowSnapshot,
@@ -175,19 +171,13 @@ impl Explorer {
         self
     }
 
-    /// Disables the whole-query solver cache (ablation benchmarks).
-    pub fn query_cache(mut self, enabled: bool) -> Explorer {
-        self.query_cache = enabled;
-        self
-    }
-
     /// Enables or disables the layered solver stack's cache layers — the
     /// counterexample cache and cached-model feasibility witnesses
-    /// (default: on). Off reproduces the earlier flat-cache engine for
-    /// ablation runs. Independence slicing itself is always on: it is part
-    /// of the decision procedure (models are defined per slice), which is
-    /// what keeps this switch — like the worker count — incapable of
-    /// changing any report.
+    /// (default: on). Off is the flat reference engine the layered stack
+    /// is checked against. Independence slicing itself is always on: it is
+    /// part of the decision procedure (models are defined per slice),
+    /// which is what keeps this switch — like the worker count — incapable
+    /// of changing any report.
     pub fn solver_stack(mut self, enabled: bool) -> Explorer {
         self.solver_stack = enabled;
         self
@@ -398,7 +388,6 @@ impl Explorer {
     /// The exploration-wide cache stack, per this explorer's config.
     fn solver_setup(&self) -> SolverSetup {
         SolverSetup {
-            query: self.query_cache.then(|| Arc::new(QueryCache::new())),
             cex: self.solver_stack.then(|| Arc::new(CexCache::new())),
             model_reuse: self.solver_stack,
             incremental: self.incremental,
@@ -1050,24 +1039,6 @@ mod parallel_tests {
             assert_eq!(report.errors[0].path, 1, "{workers} workers");
             assert_eq!(report.errors[0].counterexample.value("x"), 0b0111);
         }
-    }
-
-    #[test]
-    fn parallel_workers_share_the_query_cache() {
-        // Under the re-execution oracle every worker re-solves
-        // structurally identical prefix queries; with a shared cache at
-        // least some must hit. (The copy-on-write engine eliminates those
-        // repeated prefix queries altogether — that is its entire point —
-        // so the premise of this test only holds for re-execution.)
-        let report = Explorer::new()
-            .workers(4)
-            .fork_strategy(ForkStrategy::Reexec)
-            .explore(ladder);
-        assert!(
-            report.stats.solver.cache_hits > 0,
-            "shared cache shows no hits: {:?}",
-            report.stats.solver
-        );
     }
 
     #[test]

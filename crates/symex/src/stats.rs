@@ -131,7 +131,7 @@ impl fmt::Display for ExplorationStats {
         write!(
             f,
             "paths: {} | instr: {} | time: {:.3}s | solver: {:.2}% \
-             ({} queries, {} cache hits, {} cache misses) | \
+             ({} queries) | \
              stack: {} slices, {} slice hits, {} subset-unsat, \
              {} model reuse, {} focus skips, {} core calls, {} evictions | \
              incremental: {} contexts, {} assumption solves, \
@@ -145,8 +145,6 @@ impl fmt::Display for ExplorationStats {
             self.time.as_secs_f64(),
             self.solver_share(),
             self.solver.queries,
-            self.solver.cache_hits,
-            self.solver.cache_misses,
             self.solver.slices,
             self.solver.slice_hits,
             self.solver.cex_subset_hits,

@@ -28,22 +28,15 @@ for arg in "$@"; do
 done
 
 cargo build --offline --release -p symsc-bench \
-  --bin solver_stack --bin incremental_speedup --bin mutation_kill \
-  --bin firmware_kill --bin cross_check --bin fuzz_diff --bin cow_fork \
-  --bin path_merge --bin bench_gate
+  --bin mutation_kill --bin firmware_kill --bin cross_check --bin fuzz_diff \
+  --bin cow_fork --bin path_merge --bin bench_gate
 cargo build --offline --release -p symsc-campaign --bin campaign_bench
 
 out=target/bench_gate
 mkdir -p "$out"
 
-# Scales must match the committed baselines: both ablation harnesses are
-# recorded at sources=32, the mutation baseline at its --smoke matrix.
-echo "==> solver-stack ablation (sources=32)"
-./target/release/solver_stack 32 --emit "$out/solver_stack.json"
-
-echo "==> incremental-core ablation (sources=32)"
-./target/release/incremental_speedup 32 --emit "$out/incremental_solve.json"
-
+# Scales must match the committed baselines: the mutation baseline is
+# recorded at its --smoke matrix.
 echo "==> fuzz-vs-symbolic coverage diff + seed exchange"
 ./target/release/fuzz_diff --emit "$out/fuzz_diff.json"
 
@@ -60,8 +53,6 @@ echo "==> cross-level equivalence matrix (X1-X3, all 33 mutants, both directions
 ./target/release/cross_check --workers 2 --emit "$out/cross_check.json"
 
 pairs=(
-  BENCH_solver_stack.json "$out/solver_stack.json"
-  BENCH_incremental_solve.json "$out/incremental_solve.json"
   BENCH_fuzz_diff.json "$out/fuzz_diff.json"
   BENCH_cow_fork.json "$out/cow_fork.json"
   BENCH_path_merge.json "$out/path_merge.json"

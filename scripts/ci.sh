@@ -45,9 +45,6 @@ if [[ "$skip_smokes" -eq 1 ]]; then
   exit 0
 fi
 
-echo "==> parallel exploration determinism + cache smoke"
-./target/release/parallel_speedup 32 4
-
 echo "==> differential fuzzing smoke (IF presets must die)"
 scripts/fuzz_smoke.sh
 
@@ -67,12 +64,12 @@ echo "==> campaign orchestrator smoke (kill at checkpoint + resume)"
 scripts/campaign_smoke.sh
 
 echo "==> bench gate (ablation harnesses + baseline comparison)"
-# Runs the solver-stack and incremental-core ablations at the committed
-# baselines' scales plus the reduced mutation kill matrix, and compares
-# all counters against BENCH_*.json. Each harness also enforces its own
-# internal invariants (byte-identical reports, kill-rate floor, >=25%
-# incremental core reduction), so this subsumes the old per-harness
-# smoke steps.
+# Runs the remaining harnesses at the committed baselines' scales plus
+# the reduced mutation kill matrix, and compares all counters against
+# BENCH_*.json. Each harness also enforces its own internal invariants
+# (byte-identical reports, kill-rate floor), so this subsumes the old
+# per-harness smoke steps. The solver-configuration invariants run as
+# crates/bench/tests/solver_configs.rs in the tier-1 tests above.
 scripts/bench_gate.sh
 
 echo "CI gate passed."
